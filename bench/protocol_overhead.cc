@@ -72,6 +72,7 @@ const char* family_of(net::MsgType type) {
     case T::kUserHandoff:
     case T::kLocateRequest:
     case T::kLocateReply:
+    case T::kNearestRequest:
       return "mobile-user";
   }
   return "other";

@@ -60,17 +60,12 @@ struct ServeOptions {
   /// TCP port to listen on (loopback only).  0 = kernel-assigned
   /// ephemeral port, readable from Server::port() after start().
   std::uint16_t port = 0;
-  std::size_t listen_backlog = 128;
 
   /// Ingest batching: staged LocationUpdates are applied to the directory
   /// in one batch once this many are pending (or the deadline expires).
   std::size_t ingest_flush_records = 4096;
   /// Oldest staged update may wait at most this long before a flush.
   std::uint32_t flush_deadline_ms = 25;
-  /// Mid-cycle hard cap on staged queries; the natural flush point is the
-  /// end of every event-loop cycle, so this only bounds a single cycle
-  /// that reads an enormous burst.
-  std::size_t query_flush_requests = 8192;
 
   /// Backpressure watermark: once this many ingest records are staged,
   /// the loop stops reading from sockets that contribute updates until
@@ -83,10 +78,6 @@ struct ServeOptions {
   /// (its requests would only pile up more output); at 4x this the peer
   /// is declared a dead consumer and closed.
   std::size_t outbuf_gate_bytes = 1u << 20;
-
-  /// Use the portable poll(2) backend instead of epoll.  Same semantics,
-  /// chosen at runtime so tests exercise both.
-  bool use_poll = false;
 };
 
 }  // namespace geogrid::core

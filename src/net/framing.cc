@@ -14,18 +14,14 @@ constexpr int kMaxLenVarintBytes = 5;
 }  // namespace
 
 std::size_t append_frame(const Message& m, std::vector<std::byte>& out) {
-  Writer w;
-  w.u16(static_cast<std::uint16_t>(message_type(m)));
-  std::visit([&w](const auto& msg) { msg.encode(w); }, m);
-  const std::vector<std::byte>& body = w.bytes();
-
+  const std::vector<std::byte> body = encode_message(m);
   Writer prefix;
   prefix.varint(body.size());
-  const std::size_t framed = prefix.size() + body.size();
-  out.reserve(out.size() + framed);
+  // Plain inserts keep the vector's geometric growth: a burst of frames
+  // into one connection buffer costs amortised O(1) per byte.
   out.insert(out.end(), prefix.bytes().begin(), prefix.bytes().end());
   out.insert(out.end(), body.begin(), body.end());
-  return framed;
+  return prefix.size() + body.size();
 }
 
 std::vector<std::byte> encode_frame(const Message& m) {

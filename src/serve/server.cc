@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -14,14 +13,12 @@
 #include <charconv>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "mobility/batcher.h"
 #include "net/framing.h"
 
 namespace geogrid::serve {
@@ -34,119 +31,10 @@ double micros_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
-/// Readiness backend: identical add/mod/del/wait semantics over epoll or
-/// poll(2), chosen at runtime so both paths stay tested.  The poll backend
-/// rebuilds its pollfd array per wait — O(connections), fine for the
-/// portable fallback; the epoll backend is the serving configuration.
-class Poller {
- public:
-  struct Event {
-    int fd = -1;
-    bool readable = false;
-    bool writable = false;
-    bool hangup = false;
-  };
-
-  explicit Poller(bool use_poll) : use_poll_(use_poll) {
-    if (!use_poll_) {
-      epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
-      if (epfd_ < 0) throw std::runtime_error("epoll_create1 failed");
-    }
-  }
-  ~Poller() {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
-  Poller(const Poller&) = delete;
-  Poller& operator=(const Poller&) = delete;
-
-  void add(int fd, bool want_read, bool want_write) {
-    if (use_poll_) {
-      interest_[fd] = events_of(want_read, want_write);
-      return;
-    }
-    epoll_event ev{};
-    ev.events = epoll_events_of(want_read, want_write);
-    ev.data.fd = fd;
-    ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev);
-  }
-
-  void mod(int fd, bool want_read, bool want_write) {
-    if (use_poll_) {
-      interest_[fd] = events_of(want_read, want_write);
-      return;
-    }
-    epoll_event ev{};
-    ev.events = epoll_events_of(want_read, want_write);
-    ev.data.fd = fd;
-    ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
-  }
-
-  void del(int fd) {
-    if (use_poll_) {
-      interest_.erase(fd);
-      return;
-    }
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-
-  /// Fills `out` with ready fds; returns their count (0 on timeout).
-  int wait(std::vector<Event>& out, int timeout_ms) {
-    out.clear();
-    if (use_poll_) {
-      pfds_.clear();
-      for (const auto& [fd, ev] : interest_) {
-        pfds_.push_back(pollfd{fd, ev, 0});
-      }
-      const int n = ::poll(pfds_.data(),
-                           static_cast<nfds_t>(pfds_.size()), timeout_ms);
-      if (n <= 0) return 0;
-      for (const pollfd& p : pfds_) {
-        if (p.revents == 0) continue;
-        Event e;
-        e.fd = p.fd;
-        e.readable = (p.revents & (POLLIN | POLLERR | POLLHUP)) != 0;
-        e.writable = (p.revents & POLLOUT) != 0;
-        e.hangup = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-        out.push_back(e);
-      }
-      return static_cast<int>(out.size());
-    }
-    eevents_.resize(256);
-    const int n =
-        ::epoll_wait(epfd_, eevents_.data(),
-                     static_cast<int>(eevents_.size()), timeout_ms);
-    for (int i = 0; i < n; ++i) {
-      Event e;
-      e.fd = eevents_[static_cast<std::size_t>(i)].data.fd;
-      const auto evs = eevents_[static_cast<std::size_t>(i)].events;
-      e.readable = (evs & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0;
-      e.writable = (evs & EPOLLOUT) != 0;
-      e.hangup = (evs & (EPOLLERR | EPOLLHUP)) != 0;
-      out.push_back(e);
-    }
-    return n < 0 ? 0 : n;
-  }
-
- private:
-  static short events_of(bool r, bool w) {
-    short ev = 0;
-    if (r) ev |= POLLIN;
-    if (w) ev |= POLLOUT;
-    return ev;
-  }
-  static std::uint32_t epoll_events_of(bool r, bool w) {
-    std::uint32_t ev = 0;
-    if (r) ev |= EPOLLIN;
-    if (w) ev |= EPOLLOUT;
-    return ev;
-  }
-
-  bool use_poll_;
-  int epfd_ = -1;
-  std::unordered_map<int, short> interest_;  // poll backend
-  std::vector<pollfd> pfds_;
-  std::vector<epoll_event> eevents_;
-};
+/// Staged queries that force a mid-cycle flush (see stage_query).
+constexpr std::size_t kQueryFlushRequests = 8192;
+constexpr int kListenBacklog = 128;
+constexpr int kMaxEvents = 256;
 
 }  // namespace
 
@@ -180,7 +68,6 @@ SubscriptionSpec subscription_spec(const net::Subscribe& msg) {
 }
 
 struct Server::Impl {
-  enum class ReplyStyle : std::uint8_t { kLocate, kPayload };
   enum class FlushReason : std::uint8_t { kSize, kDeadline, kForced };
 
   struct Conn {
@@ -195,43 +82,34 @@ struct Server::Impl {
     bool gated_outbuf = false;
     bool closing = false;
     bool is_updater = false;  ///< has ever sent a LocationUpdate
-    std::vector<std::uint64_t> sub_ids;
   };
 
+  /// The ack owed for staged_updates[i]; the record holds its user and seq.
   struct PendingAck {
     std::uint64_t serial = 0;
-    UserId user{};
-    std::uint64_t seq = 0;
     Clock::time_point arrived{};
   };
 
+  /// The reply owed for staged_queries[i]; a locate reply echoes the staged
+  /// query's user.
   struct PendingReply {
     std::uint64_t serial = 0;
     std::uint64_t id = 0;
-    ReplyStyle style = ReplyStyle::kLocate;
     net::MsgType req_type = net::MsgType::kLocateRequest;
-    UserId user{};  ///< locate only: echoed in the reply
     Clock::time_point arrived{};
   };
 
   Impl(ServerEngines engines, const core::ServeOptions& o)
-      : opt(o),
-        eng(engines),
-        sink(engines.directory,
-             mobility::IngestSink::Options{opt.ingest_flush_records}),
-        batcher(engines.queries,
-                mobility::QueryBatcher::Options{opt.query_flush_requests}) {}
+      : opt(o), eng(engines) {}
 
   core::ServeOptions opt;
   ServerEngines eng;
-  mobility::IngestSink sink;
-  mobility::QueryBatcher batcher;
 
   int listen_fd = -1;
   int wake_r = -1;
   int wake_w = -1;
+  int epfd = -1;
   std::uint16_t bound_port = 0;
-  std::unique_ptr<Poller> poller;
   std::thread thread;
   std::atomic<bool> stop_flag{false};
   std::atomic<bool> is_running{false};
@@ -239,11 +117,16 @@ struct Server::Impl {
 
   std::unordered_map<std::uint64_t, Conn> conns;     ///< by serial
   std::unordered_map<int, std::uint64_t> by_fd;      ///< fd -> serial
-  std::unordered_map<std::uint64_t, std::uint64_t> sub_owner;  ///< sub -> serial
+  /// sub -> serial of the connection it pushes to; the one ownership record.
+  std::unordered_map<std::uint64_t, std::uint64_t> sub_owner;
   std::uint64_t next_serial = 1;
 
+  /// Cycle staging, index-aligned: the i-th staged update or query is owed
+  /// the i-th pending ack or reply.
+  std::vector<mobility::LocationRecord> staged_updates;
   std::vector<PendingAck> pending_acks;
-  std::deque<PendingReply> pending_replies;
+  std::vector<mobility::Query> staged_queries;
+  std::vector<PendingReply> pending_replies;
   Clock::time_point ingest_deadline{};
   std::vector<std::uint64_t> to_close;
 
@@ -271,15 +154,10 @@ struct Server::Impl {
     addr.sin_port = htons(opt.port);
     if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
                sizeof(addr)) != 0) {
-      ::close(listen_fd);
-      listen_fd = -1;
-      throw std::runtime_error("bind() failed: " +
-                               std::string(std::strerror(errno)));
+      fail_start("bind() failed: " + std::string(std::strerror(errno)));
     }
-    if (::listen(listen_fd, static_cast<int>(opt.listen_backlog)) != 0) {
-      ::close(listen_fd);
-      listen_fd = -1;
-      throw std::runtime_error("listen() failed");
+    if (::listen(listen_fd, kListenBacklog) != 0) {
+      fail_start("listen() failed");
     }
     sockaddr_in bound{};
     socklen_t blen = sizeof(bound);
@@ -288,16 +166,15 @@ struct Server::Impl {
 
     int pipefd[2];
     if (::pipe2(pipefd, O_NONBLOCK | O_CLOEXEC) != 0) {
-      ::close(listen_fd);
-      listen_fd = -1;
-      throw std::runtime_error("pipe2() failed");
+      fail_start("pipe2() failed");
     }
     wake_r = pipefd[0];
     wake_w = pipefd[1];
 
-    poller = std::make_unique<Poller>(opt.use_poll);
-    poller->add(listen_fd, /*read=*/true, /*write=*/false);
-    poller->add(wake_r, /*read=*/true, /*write=*/false);
+    epfd = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epfd < 0) fail_start("epoll_create1() failed");
+    watch(EPOLL_CTL_ADD, listen_fd, /*want_read=*/true, /*want_write=*/false);
+    watch(EPOLL_CTL_ADD, wake_r, /*want_read=*/true, /*want_write=*/false);
 
     stop_flag.store(false, std::memory_order_relaxed);
     is_running.store(true, std::memory_order_release);
@@ -315,12 +192,19 @@ struct Server::Impl {
     }
     if (thread.joinable()) thread.join();
     is_running.store(false, std::memory_order_release);
-    if (wake_r >= 0) ::close(wake_r);
-    if (wake_w >= 0) ::close(wake_w);
-    wake_r = wake_w = -1;
-    if (listen_fd >= 0) ::close(listen_fd);
-    listen_fd = -1;
-    poller.reset();
+    close_fds();
+  }
+
+  [[noreturn]] void fail_start(const std::string& what) {
+    close_fds();
+    throw std::runtime_error(what);
+  }
+
+  void close_fds() {
+    for (int* fd : {&listen_fd, &wake_r, &wake_w, &epfd}) {
+      if (*fd >= 0) ::close(*fd);
+      *fd = -1;
+    }
   }
 
   ~Impl() { stop(); }
@@ -328,25 +212,30 @@ struct Server::Impl {
   // ---- event loop ------------------------------------------------------
 
   void loop() {
-    std::vector<Poller::Event> events;
+    epoll_event events[kMaxEvents];
     while (!stop_flag.load(std::memory_order_relaxed)) {
-      poller->wait(events, wait_timeout_ms());
-      for (const Poller::Event& ev : events) {
-        if (ev.fd == listen_fd) {
+      const int n = ::epoll_wait(epfd, events, kMaxEvents, wait_timeout_ms());
+      for (int i = 0; i < n; ++i) {
+        const int fd = events[i].data.fd;
+        if (fd == listen_fd) {
           accept_all();
           continue;
         }
-        if (ev.fd == wake_r) {
+        if (fd == wake_r) {
           char buf[64];
           while (::read(wake_r, buf, sizeof(buf)) > 0) {
           }
           continue;
         }
-        auto it = by_fd.find(ev.fd);
+        auto it = by_fd.find(fd);
         if (it == by_fd.end()) continue;  // closed earlier this batch
         Conn& c = conns.at(it->second);
-        if (ev.writable && !c.closing) drain_out(c);
-        if ((ev.readable || ev.hangup) && !c.closing) read_conn(c);
+        const std::uint32_t ev = events[i].events;
+        if ((ev & EPOLLOUT) != 0 && !c.closing) drain_out(c);
+        // Errors and hangups read too: recv() reports them.
+        if ((ev & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0 && !c.closing) {
+          read_conn(c);
+        }
         if (c.closing) to_close.push_back(c.serial);
       }
       end_cycle();
@@ -363,7 +252,7 @@ struct Server::Impl {
   }
 
   int wait_timeout_ms() const {
-    if (sink.pending() == 0) return -1;
+    if (staged_updates.empty()) return -1;
     const auto now = Clock::now();
     if (now >= ingest_deadline) return 0;
     const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -387,7 +276,7 @@ struct Server::Impl {
           net::FrameDecoder::Options{opt.max_frame_bytes});
       conns.emplace(serial, std::move(c));
       by_fd.emplace(fd, serial);
-      poller->add(fd, /*read=*/true, /*write=*/false);
+      watch(EPOLL_CTL_ADD, fd, /*want_read=*/true, /*want_write=*/false);
       live_conns.fetch_add(1, std::memory_order_relaxed);
       delta.accepted += 1;
     }
@@ -396,12 +285,16 @@ struct Server::Impl {
   void close_conn(std::uint64_t serial) {
     auto it = conns.find(serial);
     if (it == conns.end()) return;
-    Conn& c = it->second;
-    for (std::uint64_t sub : c.sub_ids) {
-      eng.subscriptions.unsubscribe(sub);
-      sub_owner.erase(sub);
+    for (auto sub = sub_owner.begin(); sub != sub_owner.end();) {
+      if (sub->second == serial) {
+        eng.subscriptions.unsubscribe(sub->first);
+        sub = sub_owner.erase(sub);
+      } else {
+        ++sub;
+      }
     }
-    poller->del(c.fd);
+    Conn& c = it->second;
+    ::epoll_ctl(epfd, EPOLL_CTL_DEL, c.fd, nullptr);
     by_fd.erase(c.fd);
     ::close(c.fd);
     conns.erase(it);
@@ -416,7 +309,14 @@ struct Server::Impl {
     if (want_read == c.want_read && want_write == c.want_write) return;
     c.want_read = want_read;
     c.want_write = want_write;
-    poller->mod(c.fd, want_read, want_write);
+    watch(EPOLL_CTL_MOD, c.fd, want_read, want_write);
+  }
+
+  void watch(int op, int fd, bool want_read, bool want_write) {
+    epoll_event ev{};
+    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
+    ev.data.fd = fd;
+    ::epoll_ctl(epfd, op, fd, &ev);
   }
 
   // ---- reading ---------------------------------------------------------
@@ -428,7 +328,7 @@ struct Server::Impl {
       // directory is the bottleneck; stop consuming from the writers that
       // feed it and let TCP flow control push back.  Re-opened at the
       // next ingest flush.
-      if (c.is_updater && sink.pending() >= opt.backpressure_records &&
+      if (c.is_updater && staged_updates.size() >= opt.backpressure_records &&
           !c.gated_backpressure) {
         c.gated_backpressure = true;
         delta.backpressure_gates += 1;
@@ -472,38 +372,34 @@ struct Server::Impl {
                       Clock::time_point arrived) {
     if (const auto* upd = std::get_if<net::LocationUpdate>(&m)) {
       c.is_updater = true;
-      if (sink.pending() == 0) {
+      if (staged_updates.empty()) {
         ingest_deadline =
             arrived + std::chrono::milliseconds(opt.flush_deadline_ms);
       }
       // The wire carries no timestamp; stamp 0.0 so the stored bytes are a
       // pure function of the message stream (the byte-identity contract).
-      sink.add(mobility::LocationRecord{upd->user, upd->location, upd->seq,
-                                        0.0});
-      pending_acks.push_back(PendingAck{c.serial, upd->user, upd->seq,
-                                        arrived});
+      staged_updates.push_back(mobility::LocationRecord{
+          upd->user, upd->location, upd->seq, 0.0});
+      pending_acks.push_back(PendingAck{c.serial, arrived});
       delta.updates_in += 1;
       return;
     }
     if (const auto* loc = std::get_if<net::LocateRequest>(&m)) {
       delta.locates_in += 1;
       stage_query(c, mobility::Query::locate(loc->user), loc->request_id,
-                  ReplyStyle::kLocate, net::MsgType::kLocateRequest,
-                  loc->user, arrived);
+                  net::MsgType::kLocateRequest, arrived);
       return;
     }
     if (const auto* rq = std::get_if<net::LocationQuery>(&m)) {
       delta.ranges_in += 1;
       stage_query(c, mobility::Query::range(rq->area), rq->query_id,
-                  ReplyStyle::kPayload, net::MsgType::kLocationQuery,
-                  UserId{}, arrived);
+                  net::MsgType::kLocationQuery, arrived);
       return;
     }
     if (const auto* nr = std::get_if<net::NearestRequest>(&m)) {
       delta.nearests_in += 1;
       stage_query(c, mobility::Query::nearest(nr->center, nr->k),
-                  nr->query_id, ReplyStyle::kPayload,
-                  net::MsgType::kNearestRequest, UserId{}, arrived);
+                  nr->query_id, net::MsgType::kNearestRequest, arrived);
       return;
     }
     if (const auto* sub = std::get_if<net::Subscribe>(&m)) {
@@ -515,7 +411,6 @@ struct Server::Impl {
         eng.subscriptions.subscribe(*sub, spec.kind);
       }
       sub_owner[sub->sub_id] = c.serial;
-      c.sub_ids.push_back(sub->sub_id);
       // Keep the index grid pitch tracking the subscription population
       // (log-many rebuilds, geometric total cost); never changes which
       // notifications match, only how fast matching runs.
@@ -540,13 +435,10 @@ struct Server::Impl {
   }
 
   void stage_query(Conn& c, const mobility::Query& q, std::uint64_t id,
-                   ReplyStyle style, net::MsgType req_type, UserId user,
-                   Clock::time_point arrived) {
-    const bool at_cap =
-        batcher.add(q, mobility::QueryBatcher::Token{c.serial, id});
-    pending_replies.push_back(
-        PendingReply{c.serial, id, style, req_type, user, arrived});
-    if (at_cap) {
+                   net::MsgType req_type, Clock::time_point arrived) {
+    staged_queries.push_back(q);
+    pending_replies.push_back(PendingReply{c.serial, id, req_type, arrived});
+    if (staged_queries.size() >= kQueryFlushRequests) {
       // Mid-cycle hard cap: run the batch now rather than letting one
       // giant read burst grow it without bound.  Visibility rule first.
       flush_ingest(FlushReason::kForced);
@@ -557,8 +449,8 @@ struct Server::Impl {
   // ---- flushing --------------------------------------------------------
 
   void flush_ingest(FlushReason reason) {
-    if (sink.pending() == 0) return;
-    sink.flush();
+    if (staged_updates.empty()) return;
+    eng.directory.apply_updates(staged_updates);
     delta.ingest_flushes += 1;
     switch (reason) {
       case FlushReason::kSize: delta.size_flushes += 1; break;
@@ -568,18 +460,20 @@ struct Server::Impl {
 
     // Acks carry the post-apply owning region — only now knowable.
     const auto now = Clock::now();
-    for (const PendingAck& a : pending_acks) {
+    for (std::size_t i = 0; i < pending_acks.size(); ++i) {
+      const PendingAck& a = pending_acks[i];
       auto it = conns.find(a.serial);
       if (it == conns.end() || it->second.closing) continue;
       net::LocationUpdateAck ack;
-      ack.user = a.user;
-      ack.seq = a.seq;
-      ack.region = eng.directory.region_of(a.user);
+      ack.user = staged_updates[i].user;
+      ack.seq = staged_updates[i].seq;
+      ack.region = eng.directory.region_of(ack.user);
       queue(it->second, net::Message{ack});
       delta.acks_out += 1;
       samples.emplace_back(net::MsgType::kLocationUpdate,
                            micros_between(a.arrived, now));
     }
+    staged_updates.clear();
     pending_acks.clear();
 
     // Each flush is a notification epoch: drain the movement the batch
@@ -606,31 +500,32 @@ struct Server::Impl {
   }
 
   void flush_queries() {
-    if (batcher.pending() == 0) return;
+    if (staged_queries.empty()) return;
     delta.query_flushes += 1;
-    batcher.flush([this](mobility::QueryBatcher::Token,
-                         const mobility::QueryResult& r) {
-      const PendingReply meta = pending_replies.front();
-      pending_replies.pop_front();
-      auto it = conns.find(meta.serial);
-      if (it == conns.end() || it->second.closing) return;
+    const std::vector<mobility::QueryResult> results =
+        eng.queries.run(staged_queries);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const PendingReply& p = pending_replies[i];
+      const mobility::QueryResult& r = results[i];
+      auto it = conns.find(p.serial);
+      if (it == conns.end() || it->second.closing) continue;
       Conn& c = it->second;
-      if (meta.style == ReplyStyle::kLocate) {
+      if (p.req_type == net::MsgType::kLocateRequest) {
         net::LocateReply reply;
-        reply.request_id = meta.id;
-        reply.user = meta.user;
+        reply.request_id = p.id;
+        reply.user = staged_queries[i].user;
         reply.found = r.found;
         if (r.found) {
           reply.location = r.located.position;
           reply.seq = r.located.seq;
-          reply.region = eng.directory.region_of(meta.user);
+          reply.region = eng.directory.region_of(reply.user);
         } else {
           reply.region = kInvalidRegion;
         }
         queue(c, net::Message{reply});
       } else {
         net::QueryResult reply;
-        reply.query_id = meta.id;
+        reply.query_id = p.id;
         reply.from_region = kInvalidRegion;
         net::Writer w;
         r.encode(w);
@@ -640,16 +535,18 @@ struct Server::Impl {
         queue(c, net::Message{reply});
       }
       delta.replies_out += 1;
-      samples.emplace_back(meta.req_type,
-                           micros_between(meta.arrived, Clock::now()));
-    });
+      samples.emplace_back(p.req_type,
+                           micros_between(p.arrived, Clock::now()));
+    }
+    staged_queries.clear();
+    pending_replies.clear();
   }
 
   void end_cycle() {
-    const bool force = batcher.pending() > 0;
-    const bool at_size = sink.pending() >= opt.ingest_flush_records;
+    const bool force = !staged_queries.empty();
+    const bool at_size = staged_updates.size() >= opt.ingest_flush_records;
     const bool at_deadline =
-        sink.pending() > 0 && Clock::now() >= ingest_deadline;
+        !staged_updates.empty() && Clock::now() >= ingest_deadline;
     if (at_size) {
       flush_ingest(FlushReason::kSize);
     } else if (at_deadline) {

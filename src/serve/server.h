@@ -9,11 +9,11 @@
 // serialize every engine behind per-message syscalls.  Server instead
 // treats the event loop cycle as the batching unit:
 //
-//   * decoded LocationUpdates stage into a mobility::IngestSink and are
-//     applied as one apply_updates batch when a size watermark is crossed,
-//     a deadline expires, or a query needs the writes visible;
-//   * Locate/Range/kNN requests stage into a mobility::QueryBatcher and
-//     run as one QueryEngine batch at the end of every cycle — batch size
+//   * decoded LocationUpdates stage as LocationRecords and are applied as
+//     one ShardedDirectory::apply_updates batch when a size watermark is
+//     crossed, a deadline expires, or a query needs the writes visible;
+//   * Locate/Range/kNN requests stage as Queries and run as one
+//     QueryEngine::run batch at the end of every cycle — batch size
 //     adapts to the arrival rate for free (whatever one cycle read);
 //   * every ingest flush drains the NotificationEngine once, and each
 //     emitted notification is pushed as a Notify frame to the connection
@@ -26,7 +26,7 @@
 //
 // Backpressure is first-class rather than accidental: when the staged
 // ingest queue exceeds ServeOptions::backpressure_records the loop stops
-// *reading* from contributing sockets (poller interest dropped) until the
+// *reading* from contributing sockets (epoll interest dropped) until the
 // next flush — TCP's own flow control then pushes back on the writers.  A
 // connection whose output buffer exceeds outbuf_gate_bytes likewise stops
 // being read (its requests only generate more output), and at 4x the gate

@@ -42,6 +42,23 @@ TEST(Framing, AppendFrameReturnsFramedSize) {
   EXPECT_EQ(n + m, out.size());
 }
 
+TEST(Framing, AppendFrameGrowsGeometrically) {
+  // A burst of replies to one connection appends thousands of frames to
+  // one buffer.  Growth must stay geometric (a handful of reallocations),
+  // not one reallocate-and-copy of the whole buffer per frame.
+  std::vector<std::byte> out;
+  std::size_t moves = 0;
+  const std::byte* data = out.data();
+  for (int i = 0; i < 20000; ++i) {
+    append_frame(sample_message(), out);
+    if (out.data() != data) {
+      data = out.data();
+      ++moves;
+    }
+  }
+  EXPECT_LT(moves, 64u);
+}
+
 TEST(Framing, ByteAtATimeReassembly) {
   std::vector<std::byte> wire;
   const Message m = sample_message();

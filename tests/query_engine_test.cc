@@ -161,7 +161,9 @@ TEST(QueryEngine, AgreesWithSerialPerCallReadPath) {
       case Query::Kind::kLocate: {
         const auto expect = dir.locate(q.user);
         ASSERT_EQ(r.found, expect.has_value());
-        if (expect) EXPECT_EQ(r.located, *expect);
+        if (expect) {
+          EXPECT_EQ(r.located, *expect);
+        }
         break;
       }
       case Query::Kind::kRange:

@@ -1,7 +1,7 @@
 // The serving edge end-to-end over real loopback sockets: lifecycle, the
 // wire-vs-in-process byte-identity contract, notification push,
-// query-after-update visibility, backpressure gating, and hostile-input
-// survival — each run under both poller backends.
+// subscription ownership across connections, query-after-update
+// visibility, backpressure gating, and hostile-input survival.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
@@ -127,12 +127,6 @@ std::vector<std::byte> notify_bytes(std::span<const net::Notify> batch) {
 
 class ServeTest : public ::testing::TestWithParam<bool> {
  protected:
-  core::ServeOptions base_options() const {
-    core::ServeOptions opt;
-    opt.use_poll = GetParam();
-    return opt;
-  }
-
   Client make_client(const Server& server) {
     Client::Options copt;
     copt.port = server.port();
@@ -144,7 +138,7 @@ class ServeTest : public ::testing::TestWithParam<bool> {
 
 TEST_P(ServeTest, StartStopAssignsEphemeralPort) {
   EngineStack stack(2, 1);
-  Server server(stack.engines(), base_options());
+  Server server(stack.engines(), core::ServeOptions{});
   server.start();
   EXPECT_TRUE(server.running());
   EXPECT_NE(server.port(), 0);
@@ -162,7 +156,7 @@ TEST_P(ServeTest, WireStreamsMatchInProcessEngines) {
   EngineStack wired(4, 2);    // behind the server
   EngineStack reference(1, 1);  // in-process, serial
 
-  core::ServeOptions opt = base_options();
+  core::ServeOptions opt;
   opt.ingest_flush_records = 256;
   Server server(wired.engines(), opt);
   server.start();
@@ -207,7 +201,7 @@ TEST_P(ServeTest, NotificationsPushedOverTheWireMatchReference) {
   EngineStack wired(4, 2);
   EngineStack reference(1, 1);
 
-  core::ServeOptions opt = base_options();
+  core::ServeOptions opt;
   opt.ingest_flush_records = 300;  // exactly one flush per 300-user batch
   opt.flush_deadline_ms = 10000;   // never the trigger here
   Server server(wired.engines(), opt);
@@ -272,7 +266,7 @@ TEST_P(ServeTest, NotificationsPushedOverTheWireMatchReference) {
 
 TEST_P(ServeTest, QueryForcesVisibilityOfStagedUpdates) {
   EngineStack wired(2, 1);
-  core::ServeOptions opt = base_options();
+  core::ServeOptions opt;
   opt.ingest_flush_records = 1 << 20;  // size never triggers
   opt.flush_deadline_ms = 10000;       // deadline never triggers
   Server server(wired.engines(), opt);
@@ -297,16 +291,17 @@ TEST_P(ServeTest, QueryForcesVisibilityOfStagedUpdates) {
 
 TEST_P(ServeTest, BackpressureGatesReadsUntilFlush) {
   EngineStack wired(2, 1);
-  core::ServeOptions opt = base_options();
+  core::ServeOptions opt;
   opt.backpressure_records = 2048;  // tiny: force gating
   opt.ingest_flush_records = 1 << 20;
-  opt.flush_deadline_ms = 1;  // drain via deadline flushes
+  opt.flush_deadline_ms = 25;  // drain via deadline flushes
   Server server(wired.engines(), opt);
   server.start();
   Client c = make_client(server);
 
-  // ~20k updates is several hundred KB — far more than one 64KB read, so
-  // the staged queue crosses the watermark mid-burst and the loop must
+  // ~20k updates is several hundred KB.  The deadline is long enough that
+  // the staged queue crosses the watermark mid-burst even when the server
+  // keeps pace and reads the stream in small pieces, so the loop must
   // gate the socket, flush, re-open, and still ack everything.
   const std::vector<LocationRecord> batch = fleet_batch(20000, 1);
   EXPECT_EQ(c.update_batch(batch), 20000u);
@@ -322,7 +317,7 @@ TEST_P(ServeTest, BackpressureGatesReadsUntilFlush) {
 
 TEST_P(ServeTest, MalformedFrameClosesConnectionServerSurvives) {
   EngineStack wired(2, 1);
-  Server server(wired.engines(), base_options());
+  Server server(wired.engines(), core::ServeOptions{});
   server.start();
 
   // Hostile peer: six varint continuation bytes — an overlong length
@@ -359,7 +354,7 @@ TEST_P(ServeTest, MalformedFrameClosesConnectionServerSurvives) {
 
 TEST_P(ServeTest, OversizedFramePrefixCutsConnection) {
   EngineStack wired(2, 1);
-  core::ServeOptions opt = base_options();
+  core::ServeOptions opt;
   opt.max_frame_bytes = 1024;
   Server server(wired.engines(), opt);
   server.start();
@@ -388,7 +383,7 @@ TEST_P(ServeTest, OversizedFramePrefixCutsConnection) {
 
 TEST_P(ServeTest, ConcurrentClientsAllServed) {
   EngineStack wired(4, 2);
-  core::ServeOptions opt = base_options();
+  core::ServeOptions opt;
   opt.ingest_flush_records = 512;
   Server server(wired.engines(), opt);
   server.start();
@@ -438,7 +433,7 @@ TEST_P(ServeTest, ConcurrentClientsAllServed) {
 
 TEST_P(ServeTest, UnsubscribeStopsPush) {
   EngineStack wired(2, 1);
-  core::ServeOptions opt = base_options();
+  core::ServeOptions opt;
   opt.ingest_flush_records = 100;
   opt.flush_deadline_ms = 10000;
   Server server(wired.engines(), opt);
@@ -457,17 +452,29 @@ TEST_P(ServeTest, UnsubscribeStopsPush) {
   c.poll_notifications(50);
   EXPECT_EQ(c.take_notifications().size(), 0u);
 
+  // The freed id is reused by a second connection.  Closing the first
+  // connection must leave the new owner's subscription standing.
+  Client b = make_client(server);
+  b.subscribe_area(1, Rect{0, 0, 64, 64}, range_filter(1));
   c.close();
+  EXPECT_TRUE(wait_until([&] { return server.connection_count() == 1; }));
+  EXPECT_EQ(b.update_batch(fleet_batch(100, 3)), 100u);
+  // Every user moved inside the area: one kMove each.
+  EXPECT_TRUE(wait_until([&] { return b.poll_notifications(10) >= 100; }));
+  EXPECT_EQ(b.take_notifications().size(), 100u);
+
+  b.close();
+  EXPECT_TRUE(wait_until([&] { return server.connection_count() == 0; }));
   server.stop();
   EXPECT_EQ(wired.subs.size(), 0u);
 }
 
-std::string backend_name(const ::testing::TestParamInfo<bool>& param) {
-  return param.param ? "PollBackend" : "EpollBackend";
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, ServeTest, ::testing::Values(false, true),
-                         backend_name);
+// epoll is the one readiness backend; the single instantiation keeps the
+// suite's test names.
+INSTANTIATE_TEST_SUITE_P(Backends, ServeTest, ::testing::Values(false),
+                         [](const ::testing::TestParamInfo<bool>&) {
+                           return std::string("EpollBackend");
+                         });
 
 }  // namespace
 }  // namespace geogrid::serve
