@@ -247,11 +247,11 @@ RunResult measure(std::size_t user_count, std::size_t sub_count,
     const auto reference = serial.drain();
     const auto want = stream_bytes(reference);
 
-    // Build each directory's copy-on-write snapshot outside the timed
-    // region: the first drain at a new epoch pays the snapshot build and
-    // later drains reuse it, which would otherwise bill that one-off cost
-    // to whichever sweep entry happens to run first.  The curve times
-    // matching, not snapshot construction.
+    // Publish each directory's snapshot outside the timed region: the
+    // first drain at a new epoch pays the publish and later drains reuse
+    // it, which would otherwise bill that one-off cost to whichever sweep
+    // entry happens to run first.  The curve times matching, not
+    // publication.
     (void)dir_inc.publish_snapshot();
     (void)dir_requery.publish_snapshot();
 

@@ -7,8 +7,9 @@ namespace geogrid::mobility {
 
 void DirectorySnapshot::collect_users(std::vector<UserId>& out) const {
   const std::size_t start = out.size();
-  out.reserve(start + users_.size());
-  users_.for_each([&](UserId id, const UserSlot&) { out.push_back(id); });
+  out.reserve(start + state_.size());
+  state_.users->for_each(
+      [&](UserId id, const UserSlot&) { out.push_back(id); });
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(start), out.end());
 }
 
@@ -23,11 +24,11 @@ void DirectorySnapshot::locate_many(
   // Pass 1: resolve the user -> region map (unavoidably random) and stamp
   // each hit with a (shard, region) sort key.
   for (std::uint32_t i = 0; i < users.size(); ++i) {
-    const UserSlot* slot = users_.find(users[i]);
+    const UserSlot* slot = state_.users->find(users[i]);
     if (slot == nullptr) continue;  // out[i] stays nullopt
     const std::uint64_t key =
         (static_cast<std::uint64_t>(
-             shard_of_region(slot->region, slices_.size()))
+             shard_of_region(slot->region, state_.slices.size()))
          << 32) |
         slot->region.value;
     order.emplace_back(key, i);
@@ -47,11 +48,11 @@ void DirectorySnapshot::locate_many(
   }
 }
 
-void DirectorySnapshot::serialize(net::Writer& w) const {
+void DirectoryState::serialize(net::Writer& w) const {
   std::vector<std::pair<RegionId, const LocationStore*>> stores;
-  for (const auto& slice : slices_) {
+  for (const auto& slice : slices) {
     slice->for_each([&](RegionId id, const LocationStore& st) {
-      if (st.empty()) return;  // matches ShardedDirectory::serialize
+      if (st.empty()) return;  // migrated-out regions leave no trace
       stores.emplace_back(id, &st);
     });
   }

@@ -3,19 +3,23 @@
 // The write side (ShardedDirectory) mutates its per-shard stores batch by
 // batch; readers that walked those live structures would tear — half a
 // batch applied, a record mid-handoff present in two regions or neither.
-// DirectorySnapshot is the read side's answer: an immutable copy of the
-// user -> region map plus one store-map slice per shard, stamped with the
-// ingest epoch (number of applied batches) it reflects.  A snapshot is
-// reached only through shared_ptr<const ...>, so a reader holding one sees
-// exactly one epoch for as long as it keeps the pointer, no matter how far
-// the writer advances — the isolation contract the concurrent
-// ingest-while-query test pins.
+// DirectorySnapshot is the read side's answer: a frozen DirectoryState —
+// the user -> region map plus one store-map slice per shard — stamped
+// with the ingest epoch (number of applied batches) it reflects.  A
+// snapshot is reached only through shared_ptr<const ...>, so a reader
+// holding one sees exactly one epoch for as long as it keeps the pointer,
+// no matter how far the writer advances — the isolation contract the
+// concurrent ingest-while-query test pins.
 //
-// Publication is copy-on-write at shard granularity: the writer republishes
-// only the slices whose shard drained an operation since the last publish,
-// and untouched slices are shared between consecutive snapshots.  Copying
-// is the writer's cost, off the query path entirely; queries pay the same
-// flat-map probes they would against the live structures.
+// The writer and its snapshots hold the same DirectoryState type: publish
+// freezes the writer's current bodies (the user map and each slice) into
+// the snapshot by reference, without copying, and a slice no write
+// touched since the previous publish is shared between consecutive
+// snapshots.  The writer never mutates a frozen body: before its next
+// write it takes back a body its readers have released and catches it up
+// by replaying the operations applied since (ShardedDirectory::Recycler).
+// Queries pay the same flat-map probes they would against the live
+// structures.
 //
 // Store content under a region id is byte-identical for every shard count
 // (the ingestion determinism contract), and the slice layout only routes
@@ -54,52 +58,83 @@ inline std::size_t shard_of_region(RegionId region,
                                                 shards);
 }
 
+using UserMap = common::FlatMap<UserId, UserSlot>;
+using StoreMap = common::FlatMap<RegionId, LocationStore>;
+
+/// The directory's state as the writer holds it and a snapshot freezes it:
+/// the user -> region map and one store map per shard, each a shared body.
+/// The writer's lookups and a snapshot's are both these.
+struct DirectoryState {
+  std::shared_ptr<const UserMap> users;
+  std::vector<std::shared_ptr<const StoreMap>> slices;
+
+  std::size_t size() const noexcept { return users->size(); }
+
+  /// The region holding `user`, or kInvalidRegion.
+  RegionId region_of(UserId user) const {
+    const UserSlot* slot = users->find(user);
+    return slot == nullptr ? kInvalidRegion : slot->region;
+  }
+
+  /// The store of one region (null when no user lived there).
+  const LocationStore* store(RegionId region) const {
+    return slices[shard_of_region(region, slices.size())]->find(region);
+  }
+
+  /// Point lookup through the user -> region map.
+  std::optional<LocationRecord> locate(UserId user) const {
+    const UserSlot* slot = users->find(user);
+    if (slot == nullptr) return std::nullopt;
+    const LocationStore* st = store(slot->region);
+    return st == nullptr ? std::nullopt : st->locate(user);
+  }
+
+  /// Canonical serialization: regions sorted by id, records sorted by
+  /// user.  Empty stores are skipped, so a directory whose users all
+  /// migrated out of a region serializes identically to one that never
+  /// populated it.  Equal contents produce equal bytes for any K.
+  void serialize(net::Writer& w) const;
+};
+
 class DirectorySnapshot {
  public:
-  using StoreMap = common::FlatMap<RegionId, LocationStore>;
+  using StoreMap = mobility::StoreMap;
 
-  DirectorySnapshot(std::uint64_t epoch,
-                    common::FlatMap<UserId, UserSlot> users,
+  DirectorySnapshot(std::uint64_t epoch, UserMap users,
                     std::vector<std::shared_ptr<const StoreMap>> slices)
-      : epoch_(epoch), users_(std::move(users)), slices_(std::move(slices)) {}
+      : epoch_(epoch),
+        state_{std::make_shared<const UserMap>(std::move(users)),
+               std::move(slices)} {}
 
-  /// Delta-stamped snapshot: `delta` is the sorted deduplicated list of
-  /// users whose record was applied in epochs (delta_base_epoch, epoch],
-  /// or nullopt when that history was not tracked / already trimmed.
-  DirectorySnapshot(std::uint64_t epoch,
-                    common::FlatMap<UserId, UserSlot> users,
-                    std::vector<std::shared_ptr<const StoreMap>> slices,
+  /// Delta-stamped snapshot of `state`: `delta` is the sorted deduplicated
+  /// list of users whose record was applied in epochs
+  /// (delta_base_epoch, epoch], or nullopt when that history was not
+  /// tracked / already trimmed.
+  DirectorySnapshot(std::uint64_t epoch, DirectoryState state,
                     std::uint64_t delta_base_epoch,
                     std::optional<std::vector<UserId>> delta)
       : epoch_(epoch),
-        users_(std::move(users)),
-        slices_(std::move(slices)),
+        state_(std::move(state)),
         delta_base_(delta_base_epoch),
         delta_(std::move(delta)) {}
 
   /// Ingest epoch (applied-batch count) this snapshot reflects.
   std::uint64_t epoch() const noexcept { return epoch_; }
 
-  std::size_t size() const noexcept { return users_.size(); }
-  std::size_t shard_count() const noexcept { return slices_.size(); }
+  std::size_t size() const noexcept { return state_.size(); }
+  std::size_t shard_count() const noexcept { return state_.slices.size(); }
 
   /// The region holding `user` at this epoch, or kInvalidRegion.
-  RegionId region_of(UserId user) const {
-    const UserSlot* slot = users_.find(user);
-    return slot == nullptr ? kInvalidRegion : slot->region;
-  }
+  RegionId region_of(UserId user) const { return state_.region_of(user); }
 
   /// The frozen store of one region (null when no user lived there).
   const LocationStore* store(RegionId region) const {
-    return slices_[shard_of_region(region, slices_.size())]->find(region);
+    return state_.store(region);
   }
 
   /// Point lookup through the frozen user -> region map.
   std::optional<LocationRecord> locate(UserId user) const {
-    const UserSlot* slot = users_.find(user);
-    if (slot == nullptr) return std::nullopt;
-    const LocationStore* st = store(slot->region);
-    return st == nullptr ? std::nullopt : st->locate(user);
+    return state_.locate(user);
   }
 
   /// Reusable working state for locate_many (the sort scratch), so a
@@ -136,14 +171,12 @@ class DirectorySnapshot {
   /// the full-rescan fallback for consumers whose delta history was lost.
   void collect_users(std::vector<UserId>& out) const;
 
-  /// Canonical serialization: regions sorted by id, records by user —
-  /// identical bytes to ShardedDirectory::serialize at the same epoch.
-  void serialize(net::Writer& w) const;
+  /// Canonical serialization (DirectoryState::serialize).
+  void serialize(net::Writer& w) const { state_.serialize(w); }
 
  private:
   std::uint64_t epoch_;
-  common::FlatMap<UserId, UserSlot> users_;
-  std::vector<std::shared_ptr<const StoreMap>> slices_;
+  DirectoryState state_;
   std::uint64_t delta_base_ = 0;
   std::optional<std::vector<UserId>> delta_;
 };

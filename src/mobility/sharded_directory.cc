@@ -19,19 +19,42 @@ ShardedDirectory::ShardedDirectory(const overlay::Partition& partition,
       resolver_(partition),
       pool_(options.shards),
       shards_(pool_.task_count()),
-      phase_a_tally_(pool_.task_count()) {}
+      phase_a_tally_(pool_.task_count()) {
+  users_.init(current_.users);
+  current_.slices.resize(shards_.size());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].stores.init(current_.slices[s]);
+  }
+}
+
+std::size_t ShardedDirectory::entries(const StoreMap& stores) {
+  std::size_t n = 0;
+  stores.for_each([&](RegionId, const LocationStore& st) { n += st.size(); });
+  return n;
+}
+
+UserMap& ShardedDirectory::write_users() {
+  count(users_.acquire(current_.users, [](UserMap& users, const MemoOp& op) {
+    *users.try_emplace(op.user).first = op.slot;
+  }));
+  return *users_.live();
+}
 
 void ShardedDirectory::apply_updates(std::span<const LocationRecord> batch) {
   if (batch.empty()) return;
   resolver_.refresh();
   ++counters_.batches;
+  // A reader pinned during the last publish kept its superseded snapshot;
+  // freeing it now lets this batch recycle that snapshot's bodies.
+  reclaim_retired();
+  UserMap& memo = write_users();
 
   // Phase A: resolve target regions in parallel against the frozen memo.
-  // RegionResolver::resolve is a pure read of user_state_/resolver_/
-  // partition_, so chunking cannot change any record's answer.  The
-  // memo-entry pointer found here is reused by phase B (one hash probe per
-  // record, not two); reserving the memo for the batch's new users keeps
-  // it valid across the phase-B inserts.
+  // RegionResolver::resolve is a pure read of memo/resolver_/partition_,
+  // so chunking cannot change any record's answer.  The memo-entry pointer
+  // found here is reused by phase B (one hash probe per record, not two);
+  // reserving the memo for the batch's new users keeps it valid across the
+  // phase-B inserts.
   targets_.resize(batch.size());
   states_.resize(batch.size());
   const std::size_t chunks = shards_.size();
@@ -41,7 +64,7 @@ void ShardedDirectory::apply_updates(std::span<const LocationRecord> batch) {
     bool fast = false;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       fast = false;
-      states_[i] = user_state_.find(batch[i].user);
+      states_[i] = memo.find(batch[i].user);
       const RegionId hint =
           states_[i] == nullptr ? kInvalidRegion : states_[i]->region;
       targets_[i] = resolver_.resolve(batch[i].position, hint, &fast);
@@ -60,7 +83,7 @@ void ShardedDirectory::apply_updates(std::span<const LocationRecord> batch) {
       bool fast = false;
       for (std::size_t i = lo; i < hi; ++i) {
         fast = false;
-        states_[i] = user_state_.find(batch[i].user);
+        states_[i] = memo.find(batch[i].user);
         const RegionId hint =
             states_[i] == nullptr ? kInvalidRegion : states_[i]->region;
         targets_[i] = resolver_.resolve(batch[i].position, hint, &fast);
@@ -80,11 +103,11 @@ void ShardedDirectory::apply_updates(std::span<const LocationRecord> batch) {
     // and that moves every entry — the memo pointers phase A cached for
     // *existing* users are then dangling and must be re-found before
     // phase B dereferences them.  Only growth batches pay the re-probe.
-    const std::size_t cap_before = user_state_.capacity();
-    user_state_.reserve(user_state_.size() + new_users);
-    if (user_state_.capacity() != cap_before) {
+    const std::size_t cap_before = memo.capacity();
+    memo.reserve(memo.size() + new_users);
+    if (memo.capacity() != cap_before) {
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (states_[i] != nullptr) states_[i] = user_state_.find(batch[i].user);
+        if (states_[i] != nullptr) states_[i] = memo.find(batch[i].user);
       }
     }
   }
@@ -102,7 +125,7 @@ void ShardedDirectory::apply_updates(std::span<const LocationRecord> batch) {
     if (state == nullptr) {
       // New to phase A — but an earlier record of this batch may have
       // inserted the user already, so try_emplace, not blind insert.
-      std::tie(state, inserted) = user_state_.try_emplace(rec.user);
+      std::tie(state, inserted) = memo.try_emplace(rec.user);
     }
     if (!inserted && rec.seq <= state->seq) {
       ++counters_.updates_stale;
@@ -115,14 +138,15 @@ void ShardedDirectory::apply_updates(std::span<const LocationRecord> batch) {
       // Eviction message: user + max_seq (the seq of the record being
       // displaced).  Queued before the ingest so a same-shard handoff
       // drains in the right order.
-      shards_[from].queue.push_back(ShardOp{
-          LocationRecord{rec.user, Point{}, state->seq, 0.0}, state->region,
-          /*evict=*/true});
+      shards_[from].queue.push_back(
+          ShardOp{LocationRecord{rec.user, Point{}, state->seq, 0.0},
+                  state->region, ShardOp::Kind::kEvict});
     }
-    shards_[shard_of(target)].queue.push_back(
-        ShardOp{rec, target, /*evict=*/false});
+    shards_[shard_of(target)].queue.push_back(ShardOp{rec, target});
     state->region = target;
     state->seq = rec.seq;
+    const MemoOp op{rec.user, *state};
+    users_.record({&op, 1});
     ++counters_.updates_applied;
     if (track_deltas_) epoch_users.push_back(rec.user);
   }
@@ -141,21 +165,34 @@ void ShardedDirectory::apply_updates(std::span<const LocationRecord> batch) {
 void ShardedDirectory::drain_queues() {
   pool_.run([this](std::size_t s) {
     Shard& shard = shards_[s];
+    shard.took = Took::kNothing;
     if (shard.queue.empty()) return;
-    shard.dirty = true;
-    for (const ShardOp& op : shard.queue) {
-      if (op.evict) {
-        if (LocationStore* store = shard.stores.find(op.region)) {
-          store->erase_if_stale(op.rec.user, op.rec.seq);
-        }
-      } else {
-        auto [store, created] =
-            shard.stores.try_emplace(op.region, LocationStore(cell_size_));
-        (void)created;
-        store->ingest(op.rec);
-      }
-    }
+    // Catch-up runs here, on the shard's own task, before the first write.
+    shard.took = shard.stores.acquire(
+        current_.slices[s],
+        [this](StoreMap& stores, const ShardOp& op) { apply(stores, op); });
+    StoreMap& stores = *shard.stores.live();
+    for (const ShardOp& op : shard.queue) apply(stores, op);
+    shard.stores.record(shard.queue);
   });
+  for (const Shard& shard : shards_) count(shard.took);
+}
+
+void ShardedDirectory::apply(StoreMap& stores, const ShardOp& op) const {
+  switch (op.kind) {
+    case ShardOp::Kind::kIngest:
+      stores.try_emplace(op.region, LocationStore(cell_size_))
+          .first->ingest(op.rec);
+      break;
+    case ShardOp::Kind::kEvict:
+      if (LocationStore* store = stores.find(op.region)) {
+        store->erase_if_stale(op.rec.user, op.rec.seq);
+      }
+      break;
+    case ShardOp::Kind::kRetire:
+      stores.erase(op.region);
+      break;
+  }
 }
 
 ShardedDirectory::MigrationReport ShardedDirectory::migrate_regions(
@@ -163,6 +200,7 @@ ShardedDirectory::MigrationReport ShardedDirectory::migrate_regions(
   MigrationReport report;
   ++counters_.migration_passes;
   resolver_.refresh();
+  reclaim_retired();
 
   struct Move {
     LocationRecord rec{};
@@ -177,7 +215,7 @@ ShardedDirectory::MigrationReport ShardedDirectory::migrate_regions(
   std::vector<std::vector<Move>> found(shards_.size());
   std::vector<std::uint64_t> scanned(shards_.size(), 0);
   pool_.run([&](std::size_t s) {
-    shards_[s].stores.for_each([&](RegionId id, const LocationStore& st) {
+    current_.slices[s]->for_each([&](RegionId id, const LocationStore& st) {
       const RegionId hint = partition_.has_region(id) ? id : kInvalidRegion;
       st.for_each([&](const LocationRecord& rec) {
         ++scanned[s];
@@ -205,6 +243,7 @@ ShardedDirectory::MigrationReport ShardedDirectory::migrate_regions(
   for (auto& shard : shards_) shard.queue.clear();
   std::vector<UserId> migrated;
   if (track_deltas_) migrated.reserve(moves.size());
+  UserMap* memo = moves.empty() ? nullptr : &write_users();
   for (const Move& m : moves) {
     if (filter && !filter(m.rec.user, m.from, m.to)) {
       ++report.dropped;
@@ -213,12 +252,15 @@ ShardedDirectory::MigrationReport ShardedDirectory::migrate_regions(
     // Eviction first (as in phase B) so a same-shard transfer drains in
     // the right order; max_seq = the record's own seq, which the old store
     // holds exactly, so erase_if_stale always removes it.
-    shards_[shard_of(m.from)].queue.push_back(ShardOp{
-        LocationRecord{m.rec.user, Point{}, m.rec.seq, 0.0}, m.from,
-        /*evict=*/true});
-    shards_[shard_of(m.to)].queue.push_back(ShardOp{m.rec, m.to,
-                                                    /*evict=*/false});
-    if (UserSlot* state = user_state_.find(m.rec.user)) state->region = m.to;
+    shards_[shard_of(m.from)].queue.push_back(
+        ShardOp{LocationRecord{m.rec.user, Point{}, m.rec.seq, 0.0}, m.from,
+                ShardOp::Kind::kEvict});
+    shards_[shard_of(m.to)].queue.push_back(ShardOp{m.rec, m.to});
+    if (UserSlot* state = memo->find(m.rec.user)) {
+      state->region = m.to;
+      const MemoOp op{m.rec.user, *state};
+      users_.record({&op, 1});
+    }
     ++report.moved;
     if (track_deltas_) migrated.push_back(m.rec.user);
   }
@@ -242,17 +284,15 @@ ShardedDirectory::MigrationReport ShardedDirectory::migrate_regions(
 
   // Free the stores of retired regions once they emptied; live regions
   // keep their (empty) stores — serialize skips them either way.
-  for (auto& shard : shards_) {
-    std::vector<RegionId> dead;
-    shard.stores.for_each([&](RegionId id, const LocationStore& st) {
-      if (st.empty() && !partition_.has_region(id)) dead.push_back(id);
-    });
-    for (const RegionId id : dead) {
-      shard.stores.erase(id);
-      shard.dirty = true;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].queue.clear();
+    current_.slices[s]->for_each([&](RegionId id, const LocationStore& st) {
+      if (!st.empty() || partition_.has_region(id)) return;
+      shards_[s].queue.push_back(ShardOp{{}, id, ShardOp::Kind::kRetire});
       ++report.stores_retired;
-    }
+    });
   }
+  if (report.stores_retired > 0) drain_queues();
   return report;
 }
 
@@ -265,23 +305,6 @@ ShardedDirectory::ApplyResult ShardedDirectory::apply_update(
   result.handoff = counters_.handoffs > before.handoffs;
   result.region = region_of(record.user);
   return result;
-}
-
-std::optional<LocationRecord> ShardedDirectory::locate(UserId user) const {
-  const UserSlot* state = user_state_.find(user);
-  if (state == nullptr) return std::nullopt;
-  const Shard& shard = shards_[shard_of(state->region)];
-  const LocationStore* store = shard.stores.find(state->region);
-  return store == nullptr ? std::nullopt : store->locate(user);
-}
-
-RegionId ShardedDirectory::region_of(UserId user) const {
-  const UserSlot* state = user_state_.find(user);
-  return state == nullptr ? kInvalidRegion : state->region;
-}
-
-const LocationStore* ShardedDirectory::store(RegionId region) const {
-  return shards_[shard_of(region)].stores.find(region);
 }
 
 std::vector<LocationRecord> ShardedDirectory::range(const Rect& rect) const {
@@ -302,8 +325,8 @@ std::vector<LocationRecord> ShardedDirectory::k_nearest(const Point& p,
   std::vector<LocationRecord> best;
   if (k == 0) return best;
   std::vector<std::pair<double, RegionId>> order;
-  for (const Shard& shard : shards_) {
-    shard.stores.for_each([&](RegionId id, const LocationStore& st) {
+  for (const auto& slice : current_.slices) {
+    slice->for_each([&](RegionId id, const LocationStore& st) {
       if (st.empty() || !partition_.has_region(id)) return;
       order.emplace_back(partition_.region(id).rect.distance_to(p), id);
     });
@@ -352,24 +375,13 @@ std::shared_ptr<const DirectorySnapshot> ShardedDirectory::publish_snapshot() {
   if (published_ != nullptr && published_->epoch() == ingest_epoch()) {
     return published_;
   }
-  if (slice_cache_.size() != shards_.size()) {
-    slice_cache_.resize(shards_.size());
+  // Freeze, don't copy: the snapshot shares the writer's current bodies.
+  // A slice no write touched since the previous publish is the previous
+  // snapshot's, so only written slices count as republished.
+  for (Shard& shard : shards_) {
+    counters_.snapshot_slices_copied += shard.stores.freeze() ? 1 : 0;
   }
-  // Recopy dirty slices in parallel; clean slices stay shared with prior
-  // snapshots.  Each task touches only its own slot, so no locking.
-  std::vector<std::uint8_t> task_copied(shards_.size(), 0);
-  pool_.run([&](std::size_t s) {
-    Shard& shard = shards_[s];
-    if (slice_cache_[s] == nullptr || shard.dirty) {
-      slice_cache_[s] =
-          std::make_shared<const DirectorySnapshot::StoreMap>(shard.stores);
-      shard.dirty = false;
-      task_copied[s] = 1;
-    }
-  });
-  for (const std::uint8_t c : task_copied) {
-    counters_.snapshot_slices_copied += c;
-  }
+  users_.freeze();
   ++counters_.snapshots_published;
   // Stamp the snapshot with the changed-user set since the previously
   // published epoch, so snapshot consumers get the delta without touching
@@ -377,8 +389,7 @@ std::shared_ptr<const DirectorySnapshot> ShardedDirectory::publish_snapshot() {
   const std::uint64_t base_epoch =
       published_ == nullptr ? 0 : published_->epoch();
   auto snap = std::make_shared<const DirectorySnapshot>(
-      ingest_epoch(), user_state_, slice_cache_, base_epoch,
-      changed_since(base_epoch));
+      ingest_epoch(), current_, base_epoch, changed_since(base_epoch));
   std::shared_ptr<const DirectorySnapshot> superseded;
   {
     std::lock_guard lock(snapshot_mutex_);
@@ -395,6 +406,12 @@ std::shared_ptr<const DirectorySnapshot> ShardedDirectory::publish_snapshot() {
                                        reclaim_domain_.retire_epoch()});
     ++counters_.snapshots_retired;
   }
+  reclaim_retired();
+  return snap;
+}
+
+void ShardedDirectory::reclaim_retired() {
+  if (retired_.empty()) return;
   const std::uint64_t safe = reclaim_domain_.safe_epoch();
   for (std::size_t i = 0; i < retired_.size();) {
     if (retired_[i].retired_at < safe) {
@@ -405,30 +422,12 @@ std::shared_ptr<const DirectorySnapshot> ShardedDirectory::publish_snapshot() {
       ++i;
     }
   }
-  return snap;
 }
 
 std::shared_ptr<const DirectorySnapshot> ShardedDirectory::current_snapshot()
     const {
   std::lock_guard lock(snapshot_mutex_);
   return published_;
-}
-
-void ShardedDirectory::serialize(net::Writer& w) const {
-  std::vector<std::pair<RegionId, const LocationStore*>> stores;
-  for (const Shard& shard : shards_) {
-    shard.stores.for_each([&](RegionId id, const LocationStore& st) {
-      if (st.empty()) return;  // migrated-out regions leave no trace
-      stores.emplace_back(id, &st);
-    });
-  }
-  std::sort(stores.begin(), stores.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.varint(stores.size());
-  for (const auto& [id, st] : stores) {
-    w.region_id(id);
-    st->encode(w);
-  }
 }
 
 }  // namespace geogrid::mobility

@@ -41,13 +41,23 @@
 // produce byte-identical snapshots from the same update trace; a tier-1
 // test pins exactly that.
 //
-// Read side: the per-call locate/range/k_nearest below walk the live
-// structures and are valid only between batches (the serial reference
-// path).  Readers that must overlap ingestion go through publish_snapshot /
-// current_snapshot: an epoch-versioned immutable DirectorySnapshot built
-// copy-on-write at shard granularity (only shards that drained an op since
-// the last publish are recopied).  mobility::QueryEngine is the batched
-// consumer of those snapshots.
+// Read side: the per-call locate/range/k_nearest below read the writer's
+// current DirectoryState and are valid only between batches (the serial
+// reference path).  Readers that must overlap ingestion go through
+// publish_snapshot / current_snapshot: an epoch-versioned immutable
+// DirectorySnapshot.  mobility::QueryEngine is the batched consumer of
+// those snapshots.
+//
+// Publication costs O(records applied since the last publish), not
+// O(population).  The writer's state is a DirectoryState of shared bodies
+// (the user map and one store map per shard), and publish freezes the
+// bodies written since the previous publish into the snapshot by
+// reference.  Before its next write to a frozen position the writer takes
+// back the body the previous snapshot froze — returned by its last
+// owner's deleter, so a body a pinned or refcounted reader still holds is
+// never written — and replays onto it, in dispatch order, the ShardOps or
+// memo updates applied since.  It clones the frozen body instead when no
+// such body is free or the op log outgrew the body (Recycler below).
 #pragma once
 
 #include <cstdint>
@@ -99,7 +109,17 @@ class ShardedDirectory {
     std::uint64_t batches = 0;
     std::uint64_t locate_fast_path = 0;  ///< rect-memo hits (no partition walk)
     std::uint64_t snapshots_published = 0;   ///< fresh DirectorySnapshots built
-    std::uint64_t snapshot_slices_copied = 0;  ///< shard slices recopied
+    /// Shard slices a publish froze because a write touched them since the
+    /// previous publish (clean slices are shared with the previous
+    /// snapshot and not counted).
+    std::uint64_t snapshot_slices_copied = 0;
+    /// Bodies (a shard's store map or the user map) a write took back from
+    /// a released snapshot and caught up by replaying the logged ops.
+    std::uint64_t snapshot_slices_recycled = 0;
+    /// Bodies a write had to clone from the frozen one instead: the first
+    /// write after the first publish, a previous snapshot still held, or
+    /// an op log that outgrew its body.
+    std::uint64_t snapshot_slices_cloned = 0;
     std::uint64_t migration_passes = 0;    ///< migrate_regions calls
     std::uint64_t migrated_records = 0;    ///< records re-homed by migration
     std::uint64_t migration_dropped = 0;   ///< transfers vetoed by the filter
@@ -159,13 +179,17 @@ class ShardedDirectory {
   MigrationReport migrate_regions(const MigrationFilter& filter = {});
 
   /// Point lookup through the per-user memo (no partition access).
-  std::optional<LocationRecord> locate(UserId user) const;
+  std::optional<LocationRecord> locate(UserId user) const {
+    return current_.locate(user);
+  }
 
   /// The region currently holding `user`, or kInvalidRegion.
-  RegionId region_of(UserId user) const;
+  RegionId region_of(UserId user) const { return current_.region_of(user); }
 
   /// The store of one region (null when no user ever landed there).
-  const LocationStore* store(RegionId region) const;
+  const LocationStore* store(RegionId region) const {
+    return current_.store(region);
+  }
 
   /// All records inside `rect`, gathered across every intersecting region.
   /// Serial reference path: scans all partition regions per call.
@@ -176,11 +200,12 @@ class ShardedDirectory {
   std::vector<LocationRecord> k_nearest(const Point& p, std::size_t k) const;
 
   /// Publishes an immutable snapshot of the current state, stamped with
-  /// the ingest epoch (applied-batch count).  Copy-on-write: only shards
-  /// dirtied since the previous publish are recopied (in parallel), clean
-  /// slices are shared with prior snapshots, and publishing twice at the
-  /// same epoch returns the same snapshot.  Writer-side only: must not
-  /// overlap apply_updates.
+  /// the ingest epoch (applied-batch count).  Copies nothing: the snapshot
+  /// shares the writer's current bodies, which freeze, and the next write
+  /// to each catches a recycled body up (header comment).  Slices no write
+  /// touched since the previous publish are the previous snapshot's, and
+  /// publishing twice at the same epoch returns the same snapshot.
+  /// Writer-side only: must not overlap apply_updates.
   std::shared_ptr<const DirectorySnapshot> publish_snapshot();
 
   /// The latest published snapshot (null before the first publish).  Safe
@@ -240,7 +265,7 @@ class ShardedDirectory {
   /// drained through `epoch` calls this to bound retained memory.
   void trim_deltas(std::uint64_t epoch);
 
-  std::size_t size() const noexcept { return user_state_.size(); }
+  std::size_t size() const noexcept { return current_.size(); }
   std::size_t shard_count() const noexcept { return shards_.size(); }
   const Counters& counters() const noexcept { return counters_; }
 
@@ -251,19 +276,142 @@ class ShardedDirectory {
   }
   const overlay::Partition& partition() const noexcept { return partition_; }
 
-  /// Canonical snapshot of every store: regions sorted by id, records
-  /// sorted by user.  Empty stores are skipped, so a directory whose users
-  /// all migrated out of a region serializes identically to one that never
-  /// populated it.  Equal contents produce equal bytes for any K.
-  void serialize(net::Writer& w) const;
+  /// Canonical snapshot of every store (DirectoryState::serialize): equal
+  /// contents produce equal bytes for any K.
+  void serialize(net::Writer& w) const { current_.serialize(w); }
 
  private:
   /// One queued store operation.  For evictions, `rec.user` names the user
-  /// and `rec.seq` carries max_seq for the erase_if_stale guard.
+  /// and `rec.seq` carries max_seq for the erase_if_stale guard; a retire
+  /// drops the (emptied) store of a region the partition no longer has.
   struct ShardOp {
+    enum class Kind : std::uint8_t { kIngest, kEvict, kRetire };
     LocationRecord rec{};
     RegionId region{};
-    bool evict = false;
+    Kind kind = Kind::kIngest;
+  };
+
+  /// One applied memo update: `user`'s entry became `slot`.
+  struct MemoOp {
+    UserId user{};
+    UserSlot slot{};
+  };
+
+  /// How a write came by its body (tallied into the recycle counters).
+  enum class Took : std::uint8_t { kNothing, kRecycled, kCloned };
+
+  /// Replay cost bound: a body's entries (users, or records in a shard's
+  /// stores).  A log longer than this costs more to replay than a clone.
+  static std::size_t entries(const UserMap& users) { return users.size(); }
+  static std::size_t entries(const StoreMap& stores);
+
+  /// The writer's ownership of one body position — a shard's store map or
+  /// the user map — whose current body sits in `slot`, a member of
+  /// current_.  While live() is set the writer mutates that body in place.
+  /// freeze() hands it to the snapshot being published; the writer must
+  /// then acquire() before it writes again.  acquire() takes back the body
+  /// frozen by the publish before, if its last owner has released it
+  /// (the deleter returns it under the pool mutex: a handoff TSan sees),
+  /// and replays onto it the ops record()ed since; otherwise it clones the
+  /// slot's body into a fresh one.  Bodies in steady state: the one in the
+  /// latest snapshot and the one the writer mutates.
+  template <typename Map, typename Op>
+  class Recycler {
+   public:
+    Recycler() : pool_(std::make_shared<Pool>()) {}
+    ~Recycler() {
+      std::lock_guard lock(pool_->mu);
+      pool_->closed = true;  // later releases free their body
+      pool_->returned.clear();
+    }
+    Recycler(const Recycler&) = delete;
+    Recycler& operator=(const Recycler&) = delete;
+
+    /// The body the writer may mutate; null while it is frozen.
+    Map* live() const noexcept { return live_; }
+
+    /// Installs a fresh empty writable body into `slot`.
+    void init(std::shared_ptr<const Map>& slot) {
+      install(slot, std::make_unique<Map>());
+    }
+
+    /// Makes `slot` writable.  `apply(Map&, const Op&)` replays one op.
+    /// Every returned body but the spare is stale and freed here.
+    template <typename Apply>
+    Took acquire(std::shared_ptr<const Map>& slot, const Apply& apply) {
+      if (live_ != nullptr) return Took::kNothing;
+      {
+        std::lock_guard lock(pool_->mu);
+        std::swap(taken_, pool_->returned);
+      }
+      std::unique_ptr<Map> body;
+      for (std::unique_ptr<Map>& b : taken_) {
+        if (b.get() == spare_) body = std::move(b);
+      }
+      taken_.clear();
+      const Took took = body != nullptr ? Took::kRecycled : Took::kCloned;
+      if (body != nullptr) {
+        for (const Op& op : log_) apply(*body, op);
+      } else {
+        body = std::make_unique<Map>(*slot);
+      }
+      base_ = slot.get();
+      install(slot, std::move(body));
+      return took;
+    }
+
+    /// Logs ops just applied to the live body.  Once the log would outgrow
+    /// the body it is dropped, and the next acquire clones.  The body is
+    /// measured only when the log passes its last measured size.
+    void record(std::span<const Op> ops) {
+      if (!logging_) return;
+      if (log_.size() + ops.size() > log_limit_) {
+        log_limit_ = entries(*live_);
+        if (log_.size() + ops.size() > log_limit_) {
+          logging_ = false;
+          log_.clear();
+          return;
+        }
+      }
+      log_.insert(log_.end(), ops.begin(), ops.end());
+    }
+
+    /// Freezes the live body where it sits; false when there was none (no
+    /// write since the last freeze).  The log stays as it is: nothing is
+    /// recorded until the next acquire replays it onto the spare.
+    bool freeze() {
+      if (live_ == nullptr) return false;
+      live_ = nullptr;
+      spare_ = logging_ ? base_ : nullptr;
+      return true;
+    }
+
+   private:
+    struct Pool {
+      std::mutex mu;
+      bool closed = false;
+      std::vector<std::unique_ptr<Map>> returned;
+    };
+
+    void install(std::shared_ptr<const Map>& slot, std::unique_ptr<Map> body) {
+      live_ = body.get();
+      logging_ = base_ != nullptr;  // nothing frozen yet: nothing to replay
+      log_.clear();
+      slot = std::shared_ptr<Map>(body.release(), [pool = pool_](Map* m) {
+        std::unique_ptr<Map> owned(m);
+        std::lock_guard lock(pool->mu);
+        if (!pool->closed) pool->returned.push_back(std::move(owned));
+      });
+    }
+
+    std::shared_ptr<Pool> pool_;  ///< shared with every body's deleter
+    std::vector<std::unique_ptr<Map>> taken_;  ///< acquire's scratch
+    Map* live_ = nullptr;
+    const Map* base_ = nullptr;   ///< the frozen body live_ was made from
+    const Map* spare_ = nullptr;  ///< base_ once frozen; log_ levels it
+    std::vector<Op> log_;         ///< ops applied since the last acquire
+    std::size_t log_limit_ = 0;   ///< entries at the last measurement
+    bool logging_ = false;
   };
 
   /// Cacheline-aligned: shard s is written only by task s during the
@@ -272,8 +420,8 @@ class ShardedDirectory {
   /// running independently.
   struct alignas(64) Shard {
     std::vector<ShardOp> queue;
-    common::FlatMap<RegionId, LocationStore> stores;
-    bool dirty = false;  ///< drained an op since the last publish
+    Recycler<StoreMap, ShardOp> stores;  ///< body in current_.slices[s]
+    Took took = Took::kNothing;          ///< this drain's acquire
   };
 
   /// Per-task phase-A tallies, one cacheline each (written concurrently by
@@ -291,13 +439,34 @@ class ShardedDirectory {
   /// Phase C: drains every shard queue in dispatch order, one worker each.
   void drain_queues();
 
+  /// Applies one store operation (the drain and the replay both do).
+  void apply(StoreMap& stores, const ShardOp& op) const;
+
+  /// The writable user map, recycled or cloned on the first write after a
+  /// publish.
+  UserMap& write_users();
+
+  /// Frees the retired snapshots no pinned reader can still reach; their
+  /// bodies return for recycling.
+  void reclaim_retired();
+
+  void count(Took took) noexcept {
+    counters_.snapshot_slices_recycled += took == Took::kRecycled ? 1 : 0;
+    counters_.snapshot_slices_cloned += took == Took::kCloned ? 1 : 0;
+  }
+
   const overlay::Partition& partition_;
   double cell_size_;
   bool track_deltas_;
   std::size_t delta_retention_;
 
+  // The writer's state: the user -> region memo (the dispatcher's, touched
+  // only between batch barriers) and each shard's stores, as shared bodies
+  // a publish freezes by reference.
+  DirectoryState current_;
+  Recycler<UserMap, MemoOp> users_;
+
   // Dispatcher state (touched only between batch barriers).
-  common::FlatMap<UserId, UserSlot> user_state_;
   overlay::RegionResolver resolver_;
   std::vector<RegionId> targets_;  ///< phase-A output, one per batch record
   /// Phase-A memo-entry pointers, one per batch record (null = new user).
@@ -315,13 +484,11 @@ class ShardedDirectory {
   std::vector<Shard> shards_;
   std::vector<PhaseATally> phase_a_tally_;  ///< one aligned slot per task
 
-  // Snapshot publication state.  slice_cache_ holds the last published
-  // copy of each shard's store map; published_ is swapped under
+  // Snapshot publication state.  published_ is swapped under
   // snapshot_mutex_ so current_snapshot() is safe from reader threads.
   // live_snapshot_ mirrors published_.get() for the refcount-free pinned
   // read path; superseded snapshots park in retired_ until the
   // reclamation domain proves no pinned reader can still reach them.
-  std::vector<std::shared_ptr<const DirectorySnapshot::StoreMap>> slice_cache_;
   std::shared_ptr<const DirectorySnapshot> published_;
   mutable std::mutex snapshot_mutex_;
   std::atomic<const DirectorySnapshot*> live_snapshot_{nullptr};

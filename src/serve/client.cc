@@ -49,6 +49,7 @@ Client::Client(Client&& other) noexcept
       fd_(std::exchange(other.fd_, -1)),
       decoder_(std::move(other.decoder_)),
       notifications_(std::move(other.notifications_)),
+      acks_owed_(std::exchange(other.acks_owed_, 0)),
       next_id_(other.next_id_) {}
 
 Client& Client::operator=(Client&& other) noexcept {
@@ -58,6 +59,7 @@ Client& Client::operator=(Client&& other) noexcept {
     fd_ = std::exchange(other.fd_, -1);
     decoder_ = std::move(other.decoder_);
     notifications_ = std::move(other.notifications_);
+    acks_owed_ = std::exchange(other.acks_owed_, 0);
     next_id_ = other.next_id_;
   }
   return *this;
@@ -85,6 +87,7 @@ void Client::connect() {
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   decoder_ = net::FrameDecoder(
       net::FrameDecoder::Options{options_.max_frame_bytes});
+  acks_owed_ = 0;
 }
 
 void Client::close() {
@@ -106,28 +109,47 @@ void Client::send_all(const std::vector<std::byte>& bytes) {
   }
 }
 
-net::Message Client::read_message() {
+std::optional<net::Message> Client::next_frame() {
   while (true) {
     net::FrameDecoder::Result r = decoder_.next();
     if (r.status == net::FrameDecoder::Status::kError) {
       throw std::runtime_error("client stream malformed: " + r.error);
     }
-    if (r.status == net::FrameDecoder::Status::kFrame) {
-      if (auto* notify = std::get_if<net::Notify>(&*r.message)) {
-        notifications_.push_back(std::move(*notify));
-        continue;
-      }
-      return std::move(*r.message);
-    }
-    std::byte buf[65536];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      decoder_.feed(buf, static_cast<std::size_t>(n));
+    if (r.status == net::FrameDecoder::Status::kNeedMore) return std::nullopt;
+    if (auto* notify = std::get_if<net::Notify>(&*r.message)) {
+      notifications_.push_back(std::move(*notify));
       continue;
     }
+    if (acks_owed_ > 0 &&
+        std::holds_alternative<net::LocationUpdateAck>(*r.message)) {
+      --acks_owed_;  // an unawaited update batch's ack
+      continue;
+    }
+    return std::move(*r.message);
+  }
+}
+
+bool Client::receive(bool wait) {
+  std::byte buf[65536];
+  while (true) {
+    const ssize_t n = ::recv(fd_, buf, sizeof(buf), wait ? 0 : MSG_DONTWAIT);
+    if (n > 0) {
+      decoder_.feed(buf, static_cast<std::size_t>(n));
+      return true;
+    }
     if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && !wait && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return false;
+    }
     throw std::runtime_error(n == 0 ? "server closed the connection"
                                     : "client recv() failed");
+  }
+}
+
+net::Message Client::read_message() {
+  while (true) {
+    if (std::optional<net::Message> m = next_frame()) return std::move(*m);
+    receive(/*wait=*/true);
   }
 }
 
@@ -142,7 +164,10 @@ std::size_t Client::update_batch(
     net::append_frame(net::Message{upd}, wire);
   }
   send_all(wire);
-  if (!wait_acks) return 0;
+  if (!wait_acks) {
+    acks_owed_ += records.size();
+    return 0;
+  }
   std::size_t acked = 0;
   while (acked < records.size()) {
     const net::Message m = read_message();
@@ -214,12 +239,6 @@ std::vector<mobility::QueryResult> Client::query_batch(
       results.push_back(from_payload_reply(*reply));
       continue;
     }
-    // Acks from a preceding unacked update batch may still be in flight
-    // on this connection; skip them, fail on anything else.
-    if (std::holds_alternative<net::LocationUpdateAck>(m)) {
-      --i;
-      continue;
-    }
     throw std::runtime_error("unexpected reply " +
                              std::string(net::message_name(
                                  net::message_type(m))));
@@ -262,33 +281,22 @@ void Client::unsubscribe(std::uint64_t sub_id) {
 }
 
 std::size_t Client::poll_notifications(int timeout_ms) {
-  // Drain whatever is already buffered in the decoder first.
-  while (true) {
-    net::FrameDecoder::Result r = decoder_.next();
-    if (r.status == net::FrameDecoder::Status::kError) {
-      throw std::runtime_error("client stream malformed: " + r.error);
+  // Only Notify frames and the acks owed to an unawaited update batch
+  // arrive unasked (next_frame sets both aside); any other ack or reply
+  // here answers a request nobody is waiting for, and dropping it would
+  // leave the next blocking call waiting forever.
+  const auto only_notifys = [this] {
+    if (std::optional<net::Message> m = next_frame()) {
+      throw std::runtime_error(
+          "unexpected " +
+          std::string(net::message_name(net::message_type(*m))) +
+          " while polling notifys");
     }
-    if (r.status == net::FrameDecoder::Status::kNeedMore) break;
-    if (auto* notify = std::get_if<net::Notify>(&*r.message)) {
-      notifications_.push_back(std::move(*notify));
-    } else {
-      throw std::runtime_error("unexpected frame while polling notifys");
-    }
-  }
+  };
+  only_notifys();
   pollfd p{fd_, POLLIN, 0};
-  if (::poll(&p, 1, timeout_ms) > 0 && (p.revents & POLLIN) != 0) {
-    std::byte buf[65536];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), MSG_DONTWAIT);
-    if (n > 0) {
-      decoder_.feed(buf, static_cast<std::size_t>(n));
-      while (true) {
-        net::FrameDecoder::Result r = decoder_.next();
-        if (r.status != net::FrameDecoder::Status::kFrame) break;
-        if (auto* notify = std::get_if<net::Notify>(&*r.message)) {
-          notifications_.push_back(std::move(*notify));
-        }
-      }
-    }
+  if (::poll(&p, 1, timeout_ms) > 0 && receive(/*wait=*/false)) {
+    only_notifys();
   }
   return notifications_.size();
 }

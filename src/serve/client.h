@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -54,7 +55,9 @@ class Client {
   /// Sends one LocationUpdate per record (one send() for the whole batch)
   /// and, when `wait_acks`, blocks until every ack arrived.  The server
   /// acks at its next ingest flush, so an unacked send returns as soon as
-  /// the bytes are written.  Returns the number of acks consumed.
+  /// the bytes are written; its acks are counted as owed and skipped by
+  /// whichever later call receives them.  Returns the number of acks this
+  /// call consumed.
   std::size_t update_batch(std::span<const mobility::LocationRecord> records,
                            bool wait_acks = true);
 
@@ -82,6 +85,9 @@ class Client {
 
   /// Blocks up to `timeout_ms` for pushed frames, then returns the number
   /// of Notify frames buffered in total (0 on timeout with none pending).
+  /// Throws like the blocking calls on EOF, a recv() error or a malformed
+  /// stream, and on any frame other than Notify or an owed ack (a reply
+  /// nobody awaits).
   std::size_t poll_notifications(int timeout_ms);
 
   /// Hands over every buffered Notify (pushed during any prior wait).
@@ -91,12 +97,20 @@ class Client {
   /// Blocks until one non-Notify frame arrives (Notifys are buffered
   /// aside); throws on EOF or malformed stream.
   net::Message read_message();
+  /// Decodes buffered frames, setting Notifys aside and skipping owed
+  /// acks, up to the first other frame; nullopt when the decoder needs
+  /// more bytes.  Throws on a malformed stream.
+  std::optional<net::Message> next_frame();
+  /// Feeds one recv() into the decoder.  Without `wait` it returns false
+  /// when nothing is readable; throws on EOF or a recv() error.
+  bool receive(bool wait);
   void send_all(const std::vector<std::byte>& bytes);
 
   Options options_{};
   int fd_ = -1;
   net::FrameDecoder decoder_;
   std::vector<net::Notify> notifications_;
+  std::size_t acks_owed_ = 0;  ///< acks of unawaited update batches
   std::uint64_t next_id_ = 1;
 };
 

@@ -307,6 +307,9 @@ TEST(QueryEngine, ConcurrentIngestNeverTearsASnapshot) {
   EXPECT_GT(snapshots_read.load(), 0u);
   EXPECT_GE(distinct_epochs.load(), 1u);
   EXPECT_EQ(dir.current_snapshot()->epoch(), kEpochs);
+  // The reader raced real body reuse, recycled and cloned.
+  EXPECT_GT(dir.counters().snapshot_slices_recycled, 0u);
+  EXPECT_GT(dir.counters().snapshot_slices_cloned, 0u);
 }
 
 TEST(RegionResolver, MatchesBruteForceDiscovery) {

@@ -469,6 +469,102 @@ TEST_P(ServeTest, UnsubscribeStopsPush) {
   EXPECT_EQ(wired.subs.size(), 0u);
 }
 
+/// A bare loopback listener in place of a server, so a test scripts
+/// exactly the bytes a Client receives.
+class BareListener {
+ public:
+  BareListener() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (fd_ < 0 ||
+        ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::listen(fd_, 1) != 0 ||
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      ADD_FAILURE() << "bare listener setup failed";
+      return;
+    }
+    port_ = ntohs(addr.sin_port);
+  }
+  ~BareListener() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  BareListener(const BareListener&) = delete;
+  BareListener& operator=(const BareListener&) = delete;
+
+  Client connect_client() const {
+    Client::Options copt;
+    copt.port = port_;
+    Client c(copt);
+    c.connect();
+    return c;
+  }
+  int accept_peer() const { return ::accept(fd_, nullptr, nullptr); }
+
+ private:
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+};
+
+TEST(ServeClient, PollNotificationsThrowsOnUnawaitedReply) {
+  // An ack landing during a poll must surface, not vanish: dropping it
+  // would leave the next blocking call waiting for it forever.
+  BareListener listener;
+  Client c = listener.connect_client();
+  const int peer = listener.accept_peer();
+  ASSERT_GE(peer, 0);
+  net::LocationUpdateAck ack;
+  ack.user = UserId{1};
+  ack.seq = 1;
+  const std::vector<std::byte> frame = net::encode_frame(net::Message{ack});
+  ASSERT_EQ(::send(peer, frame.data(), frame.size(), 0),
+            static_cast<ssize_t>(frame.size()));
+  EXPECT_THROW(c.poll_notifications(5000), std::runtime_error);
+  ::close(peer);
+}
+
+TEST(ServeClient, PollNotificationsSkipsAcksOwedToAnUnawaitedBatch) {
+  // The acks of update_batch(..., wait_acks=false) are owed, not
+  // unexpected: a poll skips exactly that many and throws on one more.
+  BareListener listener;
+  Client c = listener.connect_client();
+  const int peer = listener.accept_peer();
+  ASSERT_GE(peer, 0);
+  const std::vector<LocationRecord> batch = {{UserId{1}, {1.0, 1.0}, 1, 0.0},
+                                             {UserId{2}, {2.0, 2.0}, 1, 0.0}};
+  EXPECT_EQ(c.update_batch(batch, /*wait_acks=*/false), 0u);
+  const auto send_frames = [peer](const std::vector<net::Message>& frames) {
+    std::vector<std::byte> wire;
+    for (const net::Message& m : frames) net::append_frame(m, wire);
+    ASSERT_EQ(::send(peer, wire.data(), wire.size(), 0),
+              static_cast<ssize_t>(wire.size()));
+  };
+  // Both owed acks, then a Notify: once the Notify is buffered, the acks
+  // ahead of it were skipped.
+  send_frames({net::LocationUpdateAck{UserId{1}, 1, RegionId{1}},
+               net::LocationUpdateAck{UserId{2}, 1, RegionId{1}},
+               net::Notify{7, "geofence", "enter"}});
+  EXPECT_TRUE(wait_until([&] { return c.poll_notifications(10) == 1; }));
+  send_frames({net::LocationUpdateAck{UserId{3}, 1, RegionId{1}}});
+  EXPECT_THROW(
+      {
+        for (int i = 0; i < 50; ++i) c.poll_notifications(100);
+      },
+      std::runtime_error);
+  ::close(peer);
+}
+
+TEST(ServeClient, PollNotificationsThrowsWhenServerCloses) {
+  BareListener listener;
+  Client c = listener.connect_client();
+  const int peer = listener.accept_peer();
+  ASSERT_GE(peer, 0);
+  ::close(peer);
+  EXPECT_THROW(c.poll_notifications(5000), std::runtime_error);
+}
+
 // epoll is the one readiness backend; the single instantiation keeps the
 // suite's test names.
 INSTANTIATE_TEST_SUITE_P(Backends, ServeTest, ::testing::Values(false),

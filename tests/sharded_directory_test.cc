@@ -310,11 +310,11 @@ TEST(ShardedDirectory, DeltaIsShardCountInvariant) {
 }
 
 TEST(ShardedDirectory, DeltaSurvivesCowSliceSharingAcrossPublishes) {
-  // The satellite acceptance test: publishing shares clean slices between
-  // consecutive snapshots (copy-on-write), and the dirty-user tracking must
-  // stay correct across that sharing — the second snapshot's delta names
-  // exactly the users re-ingested after the first publish, while untouched
-  // shard slices remain the same objects in both snapshots.
+  // Consecutive snapshots share the frozen slice bodies no write touched
+  // in between, and the dirty-user tracking must stay correct across that
+  // sharing — the second snapshot's delta names exactly the users
+  // re-ingested after the first publish, while untouched shard slices
+  // remain the same objects in both snapshots.
   QuadrantFixture fx;
   constexpr std::size_t kShards = 8;
   ShardedDirectory dir(fx.partition,
@@ -342,23 +342,24 @@ TEST(ShardedDirectory, DeltaSurvivesCowSliceSharingAcrossPublishes) {
   EXPECT_EQ(std::vector<UserId>(s2->delta().begin(), s2->delta().end()),
             (std::vector<UserId>{UserId{1}}));
 
-  // COW isolation: the first snapshot still reads the epoch-1 world, and
-  // its delta stamp did not change retroactively.
+  // Frozen bodies are never written: the first snapshot still reads the
+  // epoch-1 world, and its delta stamp did not change retroactively.
   ASSERT_TRUE(s1->locate(UserId{1}).has_value());
   EXPECT_EQ(s1->locate(UserId{1})->position, (Point{10.0, 10.0}));
   EXPECT_EQ(s2->locate(UserId{1})->position, (Point{12.0, 12.0}));
   EXPECT_EQ(s1->delta().size(), 4u);
 
-  // COW sharing: every region whose shard was not dirtied by the epoch-2
-  // write is served by the *same* frozen store object in both snapshots.
+  // Shared bodies: every region whose shard was not dirtied by the
+  // epoch-2 write is served by the *same* frozen store object in both
+  // snapshots.
   const RegionId moved = fx.partition.locate(Point{12.0, 12.0});
   const std::size_t dirty_shard = shard_of_region(moved, kShards);
   std::size_t shared_regions = 0;
   for (std::uint32_t u = 2; u <= 4; ++u) {
     const RegionId r = dir.region_of(UserId{u});
     if (shard_of_region(r, kShards) == dirty_shard) continue;
-    EXPECT_EQ(s1->store(r), s2->store(r)) << "slice recopied for region "
-                                          << r.value;
+    EXPECT_EQ(s1->store(r), s2->store(r))
+        << "slice not shared for region " << r.value;
     ++shared_regions;
   }
   EXPECT_GT(shared_regions, 0u);  // the fixture must actually share a slice
@@ -604,6 +605,199 @@ TEST(ShardedDirectory, MigrationAfterSplitMovesOnlyTheSplitHalf) {
   ShardedDirectory rebuilt(fx.partition, {.shards = 1});
   rebuilt.apply_updates(quadrant_population());
   EXPECT_EQ(snapshot(dir), snapshot(rebuilt));
+}
+
+// --- Publication: frozen bodies, recycled by op replay -------------------
+
+/// make_trace where, after a first tick that places everyone, a rotating
+/// quarter of the users report: an epoch's ops stay well under a body's
+/// records, so steady-state publishes recycle instead of cloning.
+std::vector<std::vector<LocationRecord>> quarter_trace(std::size_t users,
+                                                       int ticks,
+                                                       std::uint64_t seed) {
+  std::vector<std::vector<LocationRecord>> batches =
+      make_trace(users, ticks, seed);
+  for (std::size_t t = 1; t < batches.size(); ++t) {
+    std::vector<LocationRecord> quarter;
+    for (std::size_t i = t % 4; i < batches[t].size(); i += 4) {
+      quarter.push_back(batches[t][i]);
+    }
+    batches[t] = std::move(quarter);
+  }
+  return batches;
+}
+
+std::vector<std::byte> image(const DirectorySnapshot& snap) {
+  net::Writer w;
+  snap.serialize(w);
+  return std::move(w).take();
+}
+
+/// The snapshot's user map answers like the reference directory's for
+/// users 1..n (region and record), so a recycled user map replayed right.
+void expect_same_users(const DirectorySnapshot& snap,
+                       const ShardedDirectory& ref, std::uint32_t n) {
+  EXPECT_EQ(snap.size(), ref.size());
+  for (std::uint32_t u = 1; u <= n; ++u) {
+    EXPECT_EQ(snap.region_of(UserId{u}), ref.region_of(UserId{u}));
+    EXPECT_EQ(snap.locate(UserId{u}), ref.locate(UserId{u})) << "user " << u;
+  }
+}
+
+TEST(ShardedDirectory, RecycledPublishesMatchANeverPublishedDirectory) {
+  // Publishing after every epoch freezes the writer's bodies and recycles
+  // the previous snapshot's by replay.  The snapshot, the directory and a
+  // directory fed the same trace that never publishes must stay
+  // byte-identical for K=1 and K=8; past the first write after the first
+  // publish (nothing to recycle yet), every write recycles.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    QuadrantFixture fx;
+    ShardedDirectory dir(fx.partition, {.shards = shards});
+    ShardedDirectory ref(fx.partition, {.shards = shards});
+    std::uint64_t cloned_at_second = 0;
+    int epoch = 0;
+    for (const auto& batch : quarter_trace(400, 30, 21)) {
+      dir.apply_updates(batch);
+      ref.apply_updates(batch);
+      const auto snap = dir.publish_snapshot();
+      EXPECT_EQ(image(*snap), snapshot(dir)) << "K=" << shards;
+      EXPECT_EQ(snapshot(dir), snapshot(ref)) << "K=" << shards;
+      expect_same_users(*snap, ref, 400);
+      if (++epoch == 2) {
+        cloned_at_second = dir.counters().snapshot_slices_cloned;
+      }
+    }
+    EXPECT_GT(cloned_at_second, 0u);
+    EXPECT_EQ(dir.counters().snapshot_slices_cloned, cloned_at_second);
+    EXPECT_GT(dir.counters().snapshot_slices_recycled, 0u);
+    EXPECT_EQ(ref.counters().snapshot_slices_recycled, 0u);
+    EXPECT_EQ(ref.counters().snapshot_slices_cloned, 0u);
+  }
+}
+
+TEST(ShardedDirectory, SnapshotOutlivesItsDirectory) {
+  // A released body goes back to its directory's pool; once the directory
+  // is gone, the last snapshot's release must free the bodies instead
+  // (ASan reports a leak or a use after free otherwise).
+  QuadrantFixture fx;
+  std::shared_ptr<const DirectorySnapshot> kept;
+  std::vector<std::byte> want;
+  {
+    ShardedDirectory dir(fx.partition, {.shards = 2});
+    for (const auto& batch : quarter_trace(200, 4, 26)) {
+      dir.apply_updates(batch);
+      kept = dir.publish_snapshot();
+    }
+    want = snapshot(dir);
+  }
+  EXPECT_EQ(image(*kept), want);
+  EXPECT_TRUE(kept->locate(UserId{1}).has_value());
+  kept.reset();
+}
+
+TEST(ShardedDirectory, HeldSnapshotForcesCloneNotWrite) {
+  // A previous snapshot still held across the next write pins its bodies:
+  // the writer must clone the current ones and leave the held ones as they
+  // were frozen.
+  QuadrantFixture fx;
+  ShardedDirectory dir(fx.partition, {.shards = 2});
+  ShardedDirectory ref(fx.partition, {.shards = 2});
+  const auto trace = quarter_trace(300, 8, 22);
+  for (int t = 0; t < 4; ++t) {
+    dir.apply_updates(trace[t]);
+    ref.apply_updates(trace[t]);
+    (void)dir.publish_snapshot();
+  }
+  const auto held = dir.publish_snapshot();
+  const std::vector<std::byte> held_image = image(*held);
+
+  dir.apply_updates(trace[4]);  // the spare is free: recycles
+  ref.apply_updates(trace[4]);
+  (void)dir.publish_snapshot();  // its spare is `held`'s body
+  const ShardedDirectory::Counters before = dir.counters();
+  dir.apply_updates(trace[5]);
+  ref.apply_updates(trace[5]);
+  EXPECT_GT(dir.counters().snapshot_slices_cloned,
+            before.snapshot_slices_cloned);
+  EXPECT_EQ(dir.counters().snapshot_slices_recycled,
+            before.snapshot_slices_recycled);
+
+  EXPECT_EQ(image(*held), held_image);  // never written
+  EXPECT_EQ(held->epoch(), 4u);
+  const auto snap = dir.publish_snapshot();
+  EXPECT_EQ(image(*snap), snapshot(ref));
+  expect_same_users(*snap, ref, 300);
+}
+
+TEST(ShardedDirectory, LogOutgrowingTheBodyFallsBackToClone) {
+  // Many batches between publishes: once the op log outgrows the body,
+  // replaying it would cost more than a copy, so the writer drops it and
+  // the next write after the publish clones.
+  QuadrantFixture fx;
+  ShardedDirectory dir(fx.partition, {.shards = 1});
+  ShardedDirectory ref(fx.partition, {.shards = 1});
+  const auto trace = make_trace(200, 16, 23);  // every user, every tick
+  for (int t = 0; t < 3; ++t) {
+    dir.apply_updates(trace[t]);
+    ref.apply_updates(trace[t]);
+    (void)dir.publish_snapshot();
+  }
+  for (int t = 3; t < 15; ++t) {  // 12 epochs: ~12x the body in ops
+    dir.apply_updates(trace[t]);
+    ref.apply_updates(trace[t]);
+  }
+  (void)dir.publish_snapshot();
+  const ShardedDirectory::Counters before = dir.counters();
+  dir.apply_updates(trace[15]);
+  ref.apply_updates(trace[15]);
+  // The shard's log outgrew its records and is cloned; the user map's log
+  // (one memo op per report, 12x its entries) too.
+  EXPECT_EQ(dir.counters().snapshot_slices_cloned,
+            before.snapshot_slices_cloned + 2);
+  EXPECT_EQ(dir.counters().snapshot_slices_recycled,
+            before.snapshot_slices_recycled);
+  const auto snap = dir.publish_snapshot();
+  EXPECT_EQ(image(*snap), snapshot(ref));
+  expect_same_users(*snap, ref, 200);
+}
+
+TEST(ShardedDirectory, MigrationBetweenPublishesIsReplayed) {
+  // A migrate_regions pass between publishes writes through the same
+  // bodies: its evictions, ingests, memo moves and store retirement are
+  // logged like a batch's and replayed onto the recycled body.
+  QuadrantFixture fx;
+  ShardedDirectory dir(fx.partition, {.shards = 1});
+  ShardedDirectory ref(fx.partition, {.shards = 1});
+  const auto trace = quarter_trace(400, 4, 24);
+  for (int t = 0; t < 3; ++t) {  // the second write clones, the third recycles
+    dir.apply_updates(trace[t]);
+    ref.apply_updates(trace[t]);
+    (void)dir.publish_snapshot();
+  }
+  const ShardedDirectory::Counters before = dir.counters();
+
+  const RegionId se = fx.partition.locate({48, 16});
+  fx.partition.merge(fx.partition.locate({16, 16}), se);
+  const auto moved = dir.migrate_regions();
+  ASSERT_EQ(moved.moved, ref.migrate_regions().moved);
+  EXPECT_GT(moved.moved, 0u);
+  EXPECT_EQ(moved.stores_retired, 1u);
+  const auto migrated = dir.publish_snapshot();
+  EXPECT_EQ(image(*migrated), snapshot(ref));
+  expect_same_users(*migrated, ref, 400);
+
+  // The next write's recycled body needs the migration replayed, the
+  // retired store included.
+  dir.apply_updates(trace[3]);
+  ref.apply_updates(trace[3]);
+  const auto snap = dir.publish_snapshot();
+  EXPECT_EQ(image(*snap), snapshot(ref));
+  expect_same_users(*snap, ref, 400);
+  EXPECT_EQ(snap->store(se), nullptr);  // empty stores serialize to nothing
+  EXPECT_EQ(dir.counters().snapshot_slices_cloned,
+            before.snapshot_slices_cloned);
+  EXPECT_EQ(dir.counters().snapshot_slices_recycled,
+            before.snapshot_slices_recycled + 4);  // store map + users, twice
 }
 
 }  // namespace

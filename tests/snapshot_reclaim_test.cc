@@ -166,7 +166,13 @@ TEST(SnapshotReclaim, ConcurrentPinnedReadersRacePublishingWriter) {
     });
   }
 
-  for (int i = 0; i < 200; ++i) {
+  // Past 200 epochs, keep going (bounded) until a write has recycled a
+  // body with the readers still running: a reader preempted while pinned
+  // holds back every snapshot retired meanwhile, so on a loaded host the
+  // first 200 writes can all clone.
+  for (int i = 0;
+       i < 200 || (dir.counters().snapshot_slices_recycled == 0 && i < 20000);
+       ++i) {
     dir.apply_updates(tick_batch(pop, now += 1.0));
     (void)dir.publish_snapshot();
   }
@@ -174,6 +180,10 @@ TEST(SnapshotReclaim, ConcurrentPinnedReadersRacePublishingWriter) {
   for (auto& t : readers) t.join();
   EXPECT_GE(dir.counters().snapshots_retired, 100u);
   EXPECT_GT(dir.counters().snapshots_reclaimed, 0u);
+  // The readers raced real body reuse: the writer both replayed onto
+  // bodies released by reclamation and cloned past held ones.
+  EXPECT_GT(dir.counters().snapshot_slices_recycled, 0u);
+  EXPECT_GT(dir.counters().snapshot_slices_cloned, 0u);
 }
 
 }  // namespace
