@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "wire_digest.h"
 
 namespace geogrid::mobility {
 namespace {
@@ -142,6 +143,18 @@ TEST(LocationStore, SerializationRoundTrips) {
   // The rebuilt spatial index answers identically.
   const Rect window{16, 16, 8, 8};
   EXPECT_EQ(store.range(window).size(), copy.range(window).size());
+}
+
+TEST(LocationStore, OneRecordImageIsPinned) {
+  // The store image wraps each record in the canonical order; with one
+  // record it pins the LocationRecord layout itself.
+  LocationStore store(0.5);
+  ASSERT_TRUE(store.ingest(
+      rec(0xdeadbeef, 12.5, 33.25, 0x0102030405060708ull, 17.75)));
+  net::Writer w;
+  store.encode(w);
+  EXPECT_EQ(testutil::wire_digest(w.bytes()),
+            (testutil::WireDigest{45, 0x76748f58f5b933adull}));
 }
 
 TEST(LocationStore, EncodeIsCanonicalAcrossIngestionOrder) {

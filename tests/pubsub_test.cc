@@ -15,6 +15,7 @@
 #include "mobility/motion.h"
 #include "mobility/sharded_directory.h"
 #include "overlay/partition.h"
+#include "wire_digest.h"
 
 namespace geogrid::pubsub {
 namespace {
@@ -492,6 +493,15 @@ TEST(NotificationEngine, ToNotifyCarriesFilterAsTopic) {
   EXPECT_EQ(n.sub_id, 1u);
   EXPECT_EQ(n.topic, "parking");
   EXPECT_NE(n.payload.find("u7"), std::string::npos);
+}
+
+TEST(NotificationEngine, SerializedNotificationIsPinned) {
+  const Notification n{0xfeedfacecafeull, UserId{42}, NotifyEvent::kMove,
+                       Point{3.5, 60.25}};
+  net::Writer w;
+  NotificationEngine::serialize(w, {&n, 1});
+  EXPECT_EQ(testutil::wire_digest(w.bytes()),
+            (testutil::WireDigest{30, 0x34f0147dc16bf517ull}));
 }
 
 // --- NotificationEngine: determinism and the incremental contract --------

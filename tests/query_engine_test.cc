@@ -14,6 +14,7 @@
 #include "mobility/motion.h"
 #include "mobility/sharded_directory.h"
 #include "overlay/region_resolver.h"
+#include "wire_digest.h"
 
 namespace geogrid::mobility {
 namespace {
@@ -97,6 +98,33 @@ std::vector<std::byte> snapshot_bytes(const DirectorySnapshot& snap) {
   net::Writer w;
   snap.serialize(w);
   return std::move(w).take();
+}
+
+TEST(QueryEngine, ResultEncodingIsPinned) {
+  const LocationRecord a{UserId{7}, Point{1.5, 2.25}, 3, 4.5};
+  const LocationRecord b{UserId{0xcafe}, Point{60.0, 0.125},
+                         0x1122334455667788ull, 9.0};
+  QueryResult hit;
+  hit.found = true;
+  hit.located = a;
+  const QueryResult miss;
+  QueryResult range;
+  range.kind = Query::Kind::kRange;
+  range.records = {a, b};
+  QueryResult nearest;
+  nearest.kind = Query::Kind::kNearest;
+  nearest.records = {b, a};
+
+  using testutil::WireDigest;
+  const auto digest = [](const QueryResult& r) {
+    net::Writer w;
+    r.encode(w);
+    return testutil::wire_digest(w.bytes());
+  };
+  EXPECT_EQ(digest(hit), (WireDigest{38, 0x63ac56fe9d21a1bbull}));
+  EXPECT_EQ(digest(miss), (WireDigest{2, 0x08328807b4eb6fedull}));
+  EXPECT_EQ(digest(range), (WireDigest{74, 0x03259e9c7566621eull}));
+  EXPECT_EQ(digest(nearest), (WireDigest{74, 0x864110aca83db481ull}));
 }
 
 TEST(QueryEngine, ResultsInvariantAcrossShardAndThreadCounts) {
