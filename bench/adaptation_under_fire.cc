@@ -117,28 +117,6 @@ RunResult measure(std::size_t users) {
   return r;
 }
 
-std::vector<std::size_t> pick_populations(bool smoke) {
-  if (smoke) return {10'000};
-  if (const char* env = std::getenv("GEOGRID_BENCH_POPS")) {
-    std::vector<std::size_t> pops;
-    const char* p = env;
-    while (*p != '\0') {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(p, &end, 10);
-      if (end == p) break;
-      if (v > 0) pops.push_back(static_cast<std::size_t>(v));
-      p = (*end == ',') ? end + 1 : end;
-    }
-    if (!pops.empty()) return pops;
-  }
-  std::vector<std::size_t> pops = {10'000, 100'000};
-  if (const char* env = std::getenv("GEOGRID_BENCH_LARGE");
-      env != nullptr && env[0] != '0') {
-    pops.push_back(1'000'000);
-  }
-  return pops;
-}
-
 void print_phase(const char* label,
                  const sim::AdaptationHarness::PhaseLatency& lat) {
   std::printf("          %-7s update p99/p999 %8.1f/%8.1fus   "
@@ -153,7 +131,9 @@ void print_phase(const char* label,
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  const std::vector<std::size_t> populations = pick_populations(smoke);
+  const std::vector<std::size_t> populations =
+      smoke ? std::vector<std::size_t>{10'000}
+            : bench::pick_populations({10'000, 100'000});
 
   std::printf("Adaptation under fire: %zu-node adaptive grid, failover + "
               "all mechanisms + dropped-transfer fault at each event\n",

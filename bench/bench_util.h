@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/csv.h"
 
@@ -31,6 +32,30 @@ inline std::unique_ptr<CsvWriter> csv_for(const std::string& figure) {
   if (dir == nullptr) return nullptr;
   return std::make_unique<CsvWriter>(std::string(dir) + "/" + figure +
                                      ".csv");
+}
+
+/// User populations a mobile-path bench sweeps: GEOGRID_BENCH_POPS as a
+/// comma-separated list when it names at least one positive count, else
+/// `defaults` plus 1M users when GEOGRID_BENCH_LARGE is set and not "0".
+inline std::vector<std::size_t> pick_populations(
+    std::vector<std::size_t> defaults) {
+  if (const char* env = std::getenv("GEOGRID_BENCH_POPS")) {
+    std::vector<std::size_t> pops;
+    const char* p = env;
+    while (*p != '\0') {
+      char* end = nullptr;
+      const unsigned long long v = std::strtoull(p, &end, 10);
+      if (end == p) break;
+      if (v > 0) pops.push_back(static_cast<std::size_t>(v));
+      p = (*end == ',') ? end + 1 : end;
+    }
+    if (!pops.empty()) return pops;
+  }
+  if (const char* env = std::getenv("GEOGRID_BENCH_LARGE");
+      env != nullptr && env[0] != '0') {
+    defaults.push_back(1'000'000);
+  }
+  return defaults;
 }
 
 inline void banner(const char* title) {

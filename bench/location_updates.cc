@@ -241,31 +241,11 @@ RunResult measure(std::size_t user_count, std::uint64_t seed) {
   return r;
 }
 
-std::vector<std::size_t> pick_populations() {
-  if (const char* env = std::getenv("GEOGRID_BENCH_POPS")) {
-    std::vector<std::size_t> pops;
-    const char* p = env;
-    while (*p != '\0') {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(p, &end, 10);
-      if (end == p) break;
-      if (v > 0) pops.push_back(static_cast<std::size_t>(v));
-      p = (*end == ',') ? end + 1 : end;
-    }
-    if (!pops.empty()) return pops;
-  }
-  std::vector<std::size_t> pops = {10'000, 30'000, 100'000};
-  if (const char* env = std::getenv("GEOGRID_BENCH_LARGE");
-      env != nullptr && env[0] != '0') {
-    pops.push_back(1'000'000);
-  }
-  return pops;
-}
-
 }  // namespace
 
 int main() {
-  const std::vector<std::size_t> populations = pick_populations();
+  const std::vector<std::size_t> populations =
+      bench::pick_populations({10'000, 30'000, 100'000});
   const std::size_t host_cores =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
 

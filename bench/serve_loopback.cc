@@ -375,28 +375,6 @@ RunResult measure(std::size_t user_count, std::size_t sub_count,
   return r;
 }
 
-std::vector<std::size_t> pick_populations(bool smoke) {
-  if (smoke) return {10'000};
-  if (const char* env = std::getenv("GEOGRID_BENCH_POPS")) {
-    std::vector<std::size_t> pops;
-    const char* p = env;
-    while (*p != '\0') {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(p, &end, 10);
-      if (end == p) break;
-      if (v > 0) pops.push_back(static_cast<std::size_t>(v));
-      p = (*end == ',') ? end + 1 : end;
-    }
-    if (!pops.empty()) return pops;
-  }
-  std::vector<std::size_t> pops = {10'000, 100'000};
-  if (const char* env = std::getenv("GEOGRID_BENCH_LARGE");
-      env != nullptr && env[0] != '0') {
-    pops.push_back(1'000'000);
-  }
-  return pops;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -424,7 +402,10 @@ int main(int argc, char** argv) {
   std::printf("%9s %7s %12s %12s %13s %10s %10s %11s\n", "users", "subs",
               "updates/sec", "queries/sec", "notifications", "p99 upd", "p99 loc",
               "mean batch");
-  for (const std::size_t users : pick_populations(smoke)) {
+  const std::vector<std::size_t> populations =
+      smoke ? std::vector<std::size_t>{10'000}
+            : bench::pick_populations({10'000, 100'000});
+  for (const std::size_t users : populations) {
     const RunResult r =
         measure(users, kSubscriptions, epochs, queries_per_epoch, 4242);
     results.push_back(r);

@@ -20,11 +20,7 @@ namespace detail {
 
 std::string encode_app_state(const OwnedRegion& region) {
   net::Writer w;
-  w.varint(region.subscriptions.size());
-  for (const auto& s : region.subscriptions) {
-    s.sub.encode(w);
-    w.f64(s.expires);
-  }
+  net::put(w, region.subscriptions);
   region.users.encode(w);
   const auto bytes = std::move(w).take();
   return std::string(reinterpret_cast<const char*>(bytes.data()),
@@ -33,16 +29,7 @@ std::string encode_app_state(const OwnedRegion& region) {
 
 void decode_app_state(const std::string& blob, OwnedRegion& region) {
   net::Reader r(reinterpret_cast<const std::byte*>(blob.data()), blob.size());
-  const auto n = r.varint();
-  std::vector<StoredSubscription> subs;
-  subs.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    StoredSubscription s;
-    s.sub = net::Subscribe::decode(r);
-    s.expires = r.f64();
-    subs.push_back(std::move(s));
-  }
-  region.subscriptions = std::move(subs);
+  net::get(r, region.subscriptions);
   region.users = mobility::LocationStore::decode(r);
 }
 
@@ -691,10 +678,7 @@ void GeoGridNode::submit_location_update(UserId user, const Point& location,
   m.user = user;
   m.location = location;
   m.seq = seq;
-  if (prev) {
-    m.has_prev = true;
-    m.prev_location = *prev;
-  }
+  m.prev_location = prev;
   m.reporter = self_;
   ++counters_.location_updates_submitted;
   route_or_handle(net::make_routed(location, m));
@@ -734,10 +718,10 @@ void GeoGridNode::handle_location_update(const net::LocationUpdate& m) {
   // Boundary crossing: the record moved here with the update; evict the
   // stale copy from the old owning region (routed toward the previous
   // position, so splits/merges/fail-overs en route cannot strand it).
-  if (m.has_prev && !(region.rect.covers(m.prev_location) ||
-                      region.rect.covers_inclusive(m.prev_location))) {
+  if (m.prev_location && !(region.rect.covers(*m.prev_location) ||
+                           region.rect.covers_inclusive(*m.prev_location))) {
     ++counters_.user_handoffs;
-    route_or_handle(net::make_routed(m.prev_location,
+    route_or_handle(net::make_routed(*m.prev_location,
                                      net::UserHandoff{m.user, m.seq,
                                                       region.id}));
   }
@@ -756,8 +740,8 @@ void GeoGridNode::notify_presence(OwnedRegion& region,
     if (!now_inside) continue;
     // Duplicate suppression: a user wandering *inside* the subscribed area
     // already fired when it entered; only the crossing notifies.
-    if (m.has_prev && (sub.area.covers(m.prev_location) ||
-                       sub.area.covers_inclusive(m.prev_location))) {
+    if (m.prev_location && (sub.area.covers(*m.prev_location) ||
+                            sub.area.covers_inclusive(*m.prev_location))) {
       continue;
     }
     net::Notify n;

@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -46,6 +47,8 @@ inline constexpr std::string_view kPresenceTopic = "presence";
 struct StoredSubscription {
   net::Subscribe sub;
   sim::Time expires = 0.0;
+
+  static auto fields(auto& m) { return std::tie(m.sub, m.expires); }
 };
 
 /// Local state of one region seat this node holds.

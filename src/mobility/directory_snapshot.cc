@@ -60,7 +60,7 @@ void DirectoryState::serialize(net::Writer& w) const {
             [](const auto& a, const auto& b) { return a.first < b.first; });
   w.varint(stores.size());
   for (const auto& [id, st] : stores) {
-    w.region_id(id);
+    net::put(w, id);
     st->encode(w);
   }
 }

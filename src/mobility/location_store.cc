@@ -267,7 +267,7 @@ void LocationStore::encode(net::Writer& w) const {
             [this](std::uint32_t a, std::uint32_t b) {
               return users_[a] < users_[b];
             });
-  for (const std::uint32_t slot : slots) record_at(slot).encode(w);
+  for (const std::uint32_t slot : slots) net::put(w, record_at(slot));
 }
 
 LocationStore LocationStore::decode(net::Reader& r) {
@@ -275,7 +275,7 @@ LocationStore LocationStore::decode(net::Reader& r) {
   LocationStore store(cell_size);
   const auto n = r.varint();
   for (std::uint64_t i = 0; i < n; ++i) {
-    store.ingest(LocationRecord::decode(r));
+    store.ingest(net::get<LocationRecord>(r));
   }
   return store;
 }

@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -53,19 +54,8 @@ struct LocationRecord {
   friend bool operator==(const LocationRecord&,
                          const LocationRecord&) = default;
 
-  void encode(net::Writer& w) const {
-    w.user_id(user);
-    w.point(position);
-    w.u64(seq);
-    w.f64(timestamp);
-  }
-  static LocationRecord decode(net::Reader& r) {
-    LocationRecord rec;
-    rec.user = r.user_id();
-    rec.position = r.point();
-    rec.seq = r.u64();
-    rec.timestamp = r.f64();
-    return rec;
+  static auto fields(auto& m) {
+    return std::tie(m.user, m.position, m.seq, m.timestamp);
   }
 };
 

@@ -9,11 +9,10 @@ void QueryResult::encode(net::Writer& w) const {
   w.varint(static_cast<std::uint64_t>(kind));
   if (kind == Query::Kind::kLocate) {
     w.boolean(found);
-    if (found) located.encode(w);
+    if (found) net::put(w, located);
     return;
   }
-  w.varint(records.size());
-  for (const LocationRecord& rec : records) rec.encode(w);
+  net::put(w, records);
 }
 
 QueryResult QueryResult::decode(net::Reader& r) {
@@ -25,17 +24,10 @@ QueryResult QueryResult::decode(net::Reader& r) {
   out.kind = static_cast<Query::Kind>(kind);
   if (out.kind == Query::Kind::kLocate) {
     out.found = r.boolean();
-    if (out.found) out.located = LocationRecord::decode(r);
+    if (out.found) net::get(r, out.located);
     return out;
   }
-  const std::uint64_t count = r.varint();
-  // Untrusted count: reserve only a sane floor and let growth be paced by
-  // the bytes actually present (decode throws on truncation long before a
-  // bogus huge count could materialise as records).
-  out.records.reserve(std::min<std::uint64_t>(count, 1024));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    out.records.push_back(LocationRecord::decode(r));
-  }
+  net::get(r, out.records);
   return out;
 }
 

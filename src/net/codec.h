@@ -6,6 +6,30 @@
 // account realistic wire sizes per message and (b) so integration tests can
 // prove every protocol message round-trips losslessly, which is what keeps
 // the simulation honest about what information a node can actually know.
+//
+// Every fixed-layout wire struct lists its fields once,
+//
+//   static auto fields(auto& m) { return std::tie(m.region, m.load); }
+//
+// and the generic put/get pair below derives both directions from that
+// list, with one rule per field type:
+//
+//   NodeId, RegionId, UserId        u32
+//   uint8/16/32/64_t                their own width
+//   double                          f64
+//   bool                            u8, 0 or 1
+//   int                             varint of the value cast to u64
+//   enum                            its underlying type
+//   Point, Rect                     two and four f64
+//   std::string, vector<std::byte>  varint length, then the raw bytes
+//   std::optional<T>                bool, then T when present
+//   std::vector<T>                  varint count, then each T
+//   a struct with fields()          its fields in order, inline
+//
+// Counts are untrusted input.  Every element encodes to at least one byte,
+// so get() rejects a vector count larger than the bytes left with
+// CodecError before it reserves anything: a few hostile bytes cannot
+// demand an arbitrary allocation.
 #pragma once
 
 #include <bit>
@@ -13,9 +37,12 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/geometry.h"
@@ -37,40 +64,29 @@ class Writer {
   std::size_t size() const noexcept { return buf_.size(); }
 
   void u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
-  void u16(std::uint16_t v) { raw(&v, sizeof v); }
-  void u32(std::uint32_t v) { raw(&v, sizeof v); }
-  void u64(std::uint64_t v) { raw(&v, sizeof v); }
+  void u16(std::uint16_t v) { fixed(v); }
+  void u32(std::uint32_t v) { fixed(v); }
+  void u64(std::uint64_t v) { fixed(v); }
+
+  /// An unsigned integer at its own width.
+  template <typename U>
+  void fixed(U v) {
+    raw(&v, sizeof v);
+  }
 
   /// LEB128 unsigned varint; used for counts and small ids.
   void varint(std::uint64_t v);
 
-  void f64(double v) {
-    const auto bits = std::bit_cast<std::uint64_t>(v);
-    u64(bits);
-  }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
   void boolean(bool v) { u8(v ? 1 : 0); }
 
-  void string(std::string_view s) {
-    varint(s.size());
-    raw(s.data(), s.size());
+  /// Varint length, then the raw bytes.
+  void blob(std::span<const std::byte> b) {
+    varint(b.size());
+    raw(b.data(), b.size());
   }
-
-  void point(const Point& p) {
-    f64(p.x);
-    f64(p.y);
-  }
-
-  void rect(const Rect& r) {
-    f64(r.x);
-    f64(r.y);
-    f64(r.width);
-    f64(r.height);
-  }
-
-  void node_id(NodeId id) { u32(id.value); }
-  void region_id(RegionId id) { u32(id.value); }
-  void user_id(UserId id) { u32(id.value); }
+  void string(std::string_view s) { blob(std::as_bytes(std::span(s))); }
 
  private:
   void raw(const void* data, std::size_t n) {
@@ -92,62 +108,163 @@ class Reader {
   bool done() const noexcept { return pos_ == size_; }
   std::size_t remaining() const noexcept { return size_ - pos_; }
 
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
+  std::uint8_t u8() { return fixed<std::uint8_t>(); }
+  std::uint16_t u16() { return fixed<std::uint16_t>(); }
+  std::uint32_t u32() { return fixed<std::uint32_t>(); }
+  std::uint64_t u64() { return fixed<std::uint64_t>(); }
+
+  template <typename U>
+  U fixed() {
+    need(sizeof(U));
+    U v;
+    std::memcpy(&v, data_ + pos_, sizeof(U));
+    pos_ += sizeof(U);
+    return v;
   }
-  std::uint16_t u16() { return read_raw<std::uint16_t>(); }
-  std::uint32_t u32() { return read_raw<std::uint32_t>(); }
-  std::uint64_t u64() { return read_raw<std::uint64_t>(); }
 
   std::uint64_t varint();
 
   double f64() { return std::bit_cast<double>(u64()); }
   bool boolean() { return u8() != 0; }
 
-  std::string string() {
+  /// Varint length, then that many bytes, viewed in place.
+  std::span<const std::byte> blob() {
     const std::uint64_t n = varint();
     need(n);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
+    const std::span<const std::byte> b(data_ + pos_, n);
     pos_ += n;
-    return s;
+    return b;
   }
-
-  Point point() {
-    const double x = f64();
-    const double y = f64();
-    return Point{x, y};
+  std::string string() {
+    const auto b = blob();
+    return std::string(reinterpret_cast<const char*>(b.data()), b.size());
   }
-
-  Rect rect() {
-    const double x = f64();
-    const double y = f64();
-    const double w = f64();
-    const double h = f64();
-    return Rect{x, y, w, h};
-  }
-
-  NodeId node_id() { return NodeId{u32()}; }
-  RegionId region_id() { return RegionId{u32()}; }
-  UserId user_id() { return UserId{u32()}; }
 
  private:
-  template <typename T>
-  T read_raw() {
-    need(sizeof(T));
-    T v;
-    std::memcpy(&v, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  void need(std::size_t n) const {
-    if (size_ - pos_ < n) throw CodecError("truncated message");
+  void need(std::uint64_t n) const {
+    if (remaining() < n) throw CodecError("truncated message");
   }
 
   const std::byte* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
 };
+
+namespace detail {
+
+/// A struct whose wire layout is its fields() list.
+template <typename T>
+concept Described = requires(T& v) { T::fields(v); };
+
+template <typename T, template <typename...> class Template>
+inline constexpr bool kIsA = false;
+template <template <typename...> class Template, typename... Args>
+inline constexpr bool kIsA<Template<Args...>, Template> = true;
+
+template <typename T>
+inline constexpr bool kNoWireRule = false;
+
+}  // namespace detail
+
+/// Appends `v` by the rule for its type (see the table at the top).
+template <typename T>
+void put(Writer& w, const T& v) {
+  if constexpr (detail::Described<T>) {
+    std::apply([&w](const auto&... f) { (put(w, f), ...); }, T::fields(v));
+  } else if constexpr (std::is_same_v<T, bool>) {
+    w.boolean(v);
+  } else if constexpr (std::is_same_v<T, int>) {
+    w.varint(static_cast<std::uint64_t>(v));
+  } else if constexpr (std::is_enum_v<T>) {
+    put(w, static_cast<std::underlying_type_t<T>>(v));
+  } else if constexpr (std::is_unsigned_v<T>) {
+    w.fixed(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.f64(v);
+  } else if constexpr (detail::kIsA<T, geogrid::detail::TaggedId>) {
+    w.u32(v.value);
+  } else if constexpr (std::is_same_v<T, Point>) {
+    w.f64(v.x);
+    w.f64(v.y);
+  } else if constexpr (std::is_same_v<T, Rect>) {
+    w.f64(v.x);
+    w.f64(v.y);
+    w.f64(v.width);
+    w.f64(v.height);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w.string(v);
+  } else if constexpr (std::is_same_v<T, std::vector<std::byte>>) {
+    w.blob(v);
+  } else if constexpr (detail::kIsA<T, std::optional>) {
+    w.boolean(v.has_value());
+    if (v) put(w, *v);
+  } else if constexpr (detail::kIsA<T, std::vector>) {
+    w.varint(v.size());
+    for (const auto& e : v) put(w, e);
+  } else {
+    static_assert(detail::kNoWireRule<T>, "no wire rule for this type");
+  }
+}
+
+/// Reads `v` by the rule for its type; the inverse of put.
+template <typename T>
+void get(Reader& r, T& v) {
+  if constexpr (detail::Described<T>) {
+    std::apply([&r](auto&... f) { (get(r, f), ...); }, T::fields(v));
+  } else if constexpr (std::is_same_v<T, bool>) {
+    v = r.boolean();
+  } else if constexpr (std::is_same_v<T, int>) {
+    v = static_cast<int>(r.varint());
+  } else if constexpr (std::is_enum_v<T>) {
+    std::underlying_type_t<T> u{};
+    get(r, u);
+    v = static_cast<T>(u);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    v = r.fixed<T>();
+  } else if constexpr (std::is_same_v<T, double>) {
+    v = r.f64();
+  } else if constexpr (detail::kIsA<T, geogrid::detail::TaggedId>) {
+    v.value = r.u32();
+  } else if constexpr (std::is_same_v<T, Point>) {
+    v.x = r.f64();
+    v.y = r.f64();
+  } else if constexpr (std::is_same_v<T, Rect>) {
+    v.x = r.f64();
+    v.y = r.f64();
+    v.width = r.f64();
+    v.height = r.f64();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v = r.string();
+  } else if constexpr (std::is_same_v<T, std::vector<std::byte>>) {
+    const auto b = r.blob();
+    v.assign(b.begin(), b.end());
+  } else if constexpr (detail::kIsA<T, std::optional>) {
+    if (r.boolean()) {
+      get(r, v.emplace());
+    } else {
+      v.reset();
+    }
+  } else if constexpr (detail::kIsA<T, std::vector>) {
+    const std::uint64_t n = r.varint();
+    if (n > r.remaining()) {
+      throw CodecError("element count " + std::to_string(n) +
+                       " exceeds the " + std::to_string(r.remaining()) +
+                       " bytes left");
+    }
+    v.clear();
+    v.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i) get(r, v.emplace_back());
+  } else {
+    static_assert(detail::kNoWireRule<T>, "no wire rule for this type");
+  }
+}
+
+/// Reads a fresh `T`.
+template <typename T>
+T get(Reader& r) {
+  T v{};
+  get(r, v);
+  return v;
+}
 
 }  // namespace geogrid::net

@@ -20,8 +20,8 @@
 //     before any buffering of the oversized body — a 4GB announcement
 //     costs the peer its connection, not the server its memory;
 //   * a complete frame whose body fails message decoding (unknown type
-//     tag, truncated field, trailing garbage) is kError with the codec's
-//     reason.
+//     tag, truncated field, trailing garbage, an element count larger
+//     than the bytes left) is kError with the codec's reason.
 //
 // Errors are sticky: after the first kError the stream position is
 // unrecoverable (framing is lost), so the caller must drop the connection.

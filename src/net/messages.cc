@@ -1,20 +1,32 @@
 #include "net/messages.h"
 
+#include <array>
+#include <utility>
+
 namespace geogrid::net {
 namespace {
 
-/// Calls T::decode for the variant alternative whose kType matches `type`.
-template <std::size_t I = 0>
-Message decode_by_type(MsgType type, Reader& r) {
-  if constexpr (I < std::variant_size_v<Message>) {
-    using T = std::variant_alternative_t<I, Message>;
-    if (T::kType == type) return T::decode(r);
-    return decode_by_type<I + 1>(type, r);
-  } else {
-    throw CodecError("unknown message type " +
-                     std::to_string(static_cast<unsigned>(type)));
-  }
+template <typename T>
+Message decode_as(Reader& r) {
+  return get<T>(r);
 }
+
+/// decode_as<T> for every message type, indexed by its raw wire tag (null
+/// where no type uses the tag).  Each type gets its own small decoder, so
+/// the compiler inlines the whole field list into it and the fields land
+/// straight in the returned Message instead of in a temporary it copies.
+template <std::size_t... I>
+constexpr auto make_decoders(std::index_sequence<I...>) {
+  std::array<Message (*)(Reader&), kMsgTypeSlots> table{};
+  ((table[static_cast<std::size_t>(
+        std::variant_alternative_t<I, Message>::kType)] =
+        &decode_as<std::variant_alternative_t<I, Message>>),
+   ...);
+  return table;
+}
+
+constexpr auto kDecoders =
+    make_decoders(std::make_index_sequence<std::variant_size_v<Message>>{});
 
 }  // namespace
 
@@ -75,25 +87,24 @@ std::string_view message_name(MsgType type) {
 
 std::vector<std::byte> encode_message(const Message& m) {
   Writer w;
-  w.u16(static_cast<std::uint16_t>(message_type(m)));
-  std::visit([&w](const auto& msg) { msg.encode(w); }, m);
+  put(w, message_type(m));
+  std::visit([&w](const auto& msg) { put(w, msg); }, m);
   return std::move(w).take();
 }
 
 Message decode_message(const std::byte* data, std::size_t size) {
   Reader r(data, size);
-  const auto type = static_cast<MsgType>(r.u16());
-  Message m = decode_by_type(type, r);
+  const auto tag = static_cast<std::size_t>(get<MsgType>(r));
+  if (tag >= kDecoders.size() || kDecoders[tag] == nullptr) {
+    throw CodecError("unknown message type " + std::to_string(tag));
+  }
+  Message m = kDecoders[tag](r);
   if (!r.done()) throw CodecError("trailing bytes after message");
   return m;
 }
 
 Message decode_message(const std::vector<std::byte>& bytes) {
   return decode_message(bytes.data(), bytes.size());
-}
-
-std::size_t wire_size(const Message& m) {
-  return encode_message(m).size() + kPacketOverheadBytes;
 }
 
 Routed make_routed(const Point& target, const Message& inner) {

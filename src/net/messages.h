@@ -5,17 +5,18 @@
 // load-balancing, routing table maintenance") whose syntax the middleware
 // defines, and application messages that must carry the geographic
 // coordinates of their destination.  This header defines both families as a
-// closed std::variant so node logic can handle them exhaustively, plus the
-// binary encode/decode for every type (the simulated network can run in a
-// verify mode that round-trips each message through the codec to prove the
-// protocol state machines only use information that actually crosses the
-// wire).
+// closed std::variant so node logic can handle them exhaustively.  Each
+// type's wire layout is its fields() list, encoded by the rules in codec.h;
+// the simulated network delivers every message through that codec, which
+// proves the protocol state machines only use information that actually
+// crosses the wire.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -90,23 +91,6 @@ enum class MsgType : std::uint16_t {
 inline constexpr std::size_t kMsgTypeSlots =
     static_cast<std::size_t>(MsgType::kNearestRequest) + 1;
 
-namespace detail {
-
-inline void encode_snapshots(Writer& w, const std::vector<RegionSnapshot>& v) {
-  w.varint(v.size());
-  for (const auto& s : v) s.encode(w);
-}
-
-inline std::vector<RegionSnapshot> decode_snapshots(Reader& r) {
-  const auto n = r.varint();
-  std::vector<RegionSnapshot> v;
-  v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(RegionSnapshot::decode(r));
-  return v;
-}
-
-}  // namespace detail
-
 // ---------------------------------------------------------------------------
 // Bootstrap service messages.
 // ---------------------------------------------------------------------------
@@ -116,8 +100,7 @@ struct BootstrapRegister {
   static constexpr MsgType kType = MsgType::kBootstrapRegister;
   NodeInfo node;
 
-  void encode(Writer& w) const { node.encode(w); }
-  static BootstrapRegister decode(Reader& r) { return {NodeInfo::decode(r)}; }
+  static auto fields(auto& m) { return std::tie(m.node); }
 };
 
 /// Joiner -> bootstrap server: request a random entry node.
@@ -125,10 +108,7 @@ struct BootstrapEntryRequest {
   static constexpr MsgType kType = MsgType::kBootstrapEntryRequest;
   NodeInfo requester;
 
-  void encode(Writer& w) const { requester.encode(w); }
-  static BootstrapEntryRequest decode(Reader& r) {
-    return {NodeInfo::decode(r)};
-  }
+  static auto fields(auto& m) { return std::tie(m.requester); }
 };
 
 /// Bootstrap server -> joiner: a randomly selected existing node (absent
@@ -137,15 +117,7 @@ struct BootstrapEntryReply {
   static constexpr MsgType kType = MsgType::kBootstrapEntryReply;
   std::optional<NodeInfo> entry;
 
-  void encode(Writer& w) const {
-    w.boolean(entry.has_value());
-    if (entry) entry->encode(w);
-  }
-  static BootstrapEntryReply decode(Reader& r) {
-    BootstrapEntryReply m;
-    if (r.boolean()) m.entry = NodeInfo::decode(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.entry); }
 };
 
 // ---------------------------------------------------------------------------
@@ -159,8 +131,7 @@ struct JoinRequest {
   static constexpr MsgType kType = MsgType::kJoinRequest;
   NodeInfo joiner;
 
-  void encode(Writer& w) const { joiner.encode(w); }
-  static JoinRequest decode(Reader& r) { return {NodeInfo::decode(r)}; }
+  static auto fields(auto& m) { return std::tie(m.joiner); }
 };
 
 /// Covering-region owner -> joiner: dual-peer probe result, the covering
@@ -170,16 +141,7 @@ struct JoinProbeReply {
   RegionSnapshot covering;
   std::vector<RegionSnapshot> neighbors;
 
-  void encode(Writer& w) const {
-    covering.encode(w);
-    detail::encode_snapshots(w, neighbors);
-  }
-  static JoinProbeReply decode(Reader& r) {
-    JoinProbeReply m;
-    m.covering = RegionSnapshot::decode(r);
-    m.neighbors = detail::decode_snapshots(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.covering, m.neighbors); }
 };
 
 /// Joiner -> primary of a half-full region: become its secondary owner.
@@ -188,16 +150,7 @@ struct SecondaryJoinRequest {
   NodeInfo joiner;
   RegionId region;
 
-  void encode(Writer& w) const {
-    joiner.encode(w);
-    w.region_id(region);
-  }
-  static SecondaryJoinRequest decode(Reader& r) {
-    SecondaryJoinRequest m;
-    m.joiner = NodeInfo::decode(r);
-    m.region = r.region_id();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.joiner, m.region); }
 };
 
 /// Joiner -> primary of a region selected for splitting.
@@ -206,16 +159,7 @@ struct SplitJoinRequest {
   NodeInfo joiner;
   RegionId region;
 
-  void encode(Writer& w) const {
-    joiner.encode(w);
-    w.region_id(region);
-  }
-  static SplitJoinRequest decode(Reader& r) {
-    SplitJoinRequest m;
-    m.joiner = NodeInfo::decode(r);
-    m.region = r.region_id();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.joiner, m.region); }
 };
 
 /// Role granted to a joining node.
@@ -229,17 +173,8 @@ struct JoinGrant {
   OwnerRole role = OwnerRole::kPrimary;
   std::vector<RegionSnapshot> neighbors;
 
-  void encode(Writer& w) const {
-    region_state.encode(w);
-    w.u8(static_cast<std::uint8_t>(role));
-    detail::encode_snapshots(w, neighbors);
-  }
-  static JoinGrant decode(Reader& r) {
-    JoinGrant m;
-    m.region_state = RegionSnapshot::decode(r);
-    m.role = static_cast<OwnerRole>(r.u8());
-    m.neighbors = detail::decode_snapshots(r);
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.region_state, m.role, m.neighbors);
   }
 };
 
@@ -248,8 +183,7 @@ struct JoinReject {
   static constexpr MsgType kType = MsgType::kJoinReject;
   std::string reason;
 
-  void encode(Writer& w) const { w.string(reason); }
-  static JoinReject decode(Reader& r) { return {r.string()}; }
+  static auto fields(auto& m) { return std::tie(m.reason); }
 };
 
 // ---------------------------------------------------------------------------
@@ -261,10 +195,7 @@ struct NeighborUpdate {
   static constexpr MsgType kType = MsgType::kNeighborUpdate;
   RegionSnapshot snapshot;
 
-  void encode(Writer& w) const { snapshot.encode(w); }
-  static NeighborUpdate decode(Reader& r) {
-    return {RegionSnapshot::decode(r)};
-  }
+  static auto fields(auto& m) { return std::tie(m.snapshot); }
 };
 
 /// Drops one entry (region was merged away or is no longer adjacent).
@@ -272,8 +203,7 @@ struct NeighborRemove {
   static constexpr MsgType kType = MsgType::kNeighborRemove;
   RegionId region;
 
-  void encode(Writer& w) const { w.region_id(region); }
-  static NeighborRemove decode(Reader& r) { return {r.region_id()}; }
+  static auto fields(auto& m) { return std::tie(m.region); }
 };
 
 // ---------------------------------------------------------------------------
@@ -286,16 +216,7 @@ struct LeaveNotice {
   RegionId region;
   bool was_primary = false;
 
-  void encode(Writer& w) const {
-    w.region_id(region);
-    w.boolean(was_primary);
-  }
-  static LeaveNotice decode(Reader& r) {
-    LeaveNotice m;
-    m.region = r.region_id();
-    m.was_primary = r.boolean();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.region, m.was_primary); }
 };
 
 /// New primary (activated secondary or caretaker) announces ownership.
@@ -306,16 +227,7 @@ struct TakeoverNotice {
   RegionSnapshot snapshot;
   std::uint8_t flood_ttl = 0;
 
-  void encode(Writer& w) const {
-    snapshot.encode(w);
-    w.u8(flood_ttl);
-  }
-  static TakeoverNotice decode(Reader& r) {
-    TakeoverNotice m;
-    m.snapshot = RegionSnapshot::decode(r);
-    m.flood_ttl = r.u8();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.snapshot, m.flood_ttl); }
 };
 
 /// Transfers a region seat to the receiver: on departure (caretaker
@@ -330,17 +242,8 @@ struct RegionHandoff {
   std::vector<RegionSnapshot> neighbors;
   RegionId vacate{};  ///< seat to drop before adopting (invalid = none)
 
-  void encode(Writer& w) const {
-    region_state.encode(w);
-    detail::encode_snapshots(w, neighbors);
-    w.region_id(vacate);
-  }
-  static RegionHandoff decode(Reader& r) {
-    RegionHandoff m;
-    m.region_state = RegionSnapshot::decode(r);
-    m.neighbors = detail::decode_snapshots(r);
-    m.vacate = r.region_id();
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.region_state, m.neighbors, m.vacate);
   }
 };
 
@@ -356,17 +259,8 @@ struct Heartbeat {
   double load = 0.0;
   double available = 0.0;
 
-  void encode(Writer& w) const {
-    w.region_id(region);
-    w.f64(load);
-    w.f64(available);
-  }
-  static Heartbeat decode(Reader& r) {
-    Heartbeat m;
-    m.region = r.region_id();
-    m.load = r.f64();
-    m.available = r.f64();
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.region, m.load, m.available);
   }
 };
 
@@ -374,8 +268,7 @@ struct HeartbeatAck {
   static constexpr MsgType kType = MsgType::kHeartbeatAck;
   RegionId region;
 
-  void encode(Writer& w) const { w.region_id(region); }
-  static HeartbeatAck decode(Reader& r) { return {r.region_id()}; }
+  static auto fields(auto& m) { return std::tie(m.region); }
 };
 
 /// Primary -> secondary replication of application state (subscriptions and
@@ -386,17 +279,8 @@ struct SyncState {
   std::uint64_t version = 0;
   std::string payload;
 
-  void encode(Writer& w) const {
-    w.region_id(region);
-    w.u64(version);
-    w.string(payload);
-  }
-  static SyncState decode(Reader& r) {
-    SyncState m;
-    m.region = r.region_id();
-    m.version = r.u64();
-    m.payload = r.string();
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.region, m.version, m.payload);
   }
 };
 
@@ -409,10 +293,7 @@ struct LoadStatsExchange {
   static constexpr MsgType kType = MsgType::kLoadStatsExchange;
   std::vector<RegionSnapshot> regions;
 
-  void encode(Writer& w) const { detail::encode_snapshots(w, regions); }
-  static LoadStatsExchange decode(Reader& r) {
-    return {detail::decode_snapshots(r)};
-  }
+  static auto fields(auto& m) { return std::tie(m.regions); }
 };
 
 /// Overloaded primary -> primary of `victim_region`: release your secondary
@@ -422,15 +303,8 @@ struct StealSecondaryRequest {
   RegionId victim_region;
   RegionSnapshot overloaded;
 
-  void encode(Writer& w) const {
-    w.region_id(victim_region);
-    overloaded.encode(w);
-  }
-  static StealSecondaryRequest decode(Reader& r) {
-    StealSecondaryRequest m;
-    m.victim_region = r.region_id();
-    m.overloaded = RegionSnapshot::decode(r);
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.victim_region, m.overloaded);
   }
 };
 
@@ -439,24 +313,14 @@ struct StealSecondaryGrant {
   RegionId victim_region;
   NodeInfo stolen;
 
-  void encode(Writer& w) const {
-    w.region_id(victim_region);
-    stolen.encode(w);
-  }
-  static StealSecondaryGrant decode(Reader& r) {
-    StealSecondaryGrant m;
-    m.victim_region = r.region_id();
-    m.stolen = NodeInfo::decode(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.victim_region, m.stolen); }
 };
 
 struct StealSecondaryReject {
   static constexpr MsgType kType = MsgType::kStealSecondaryReject;
   RegionId victim_region;
 
-  void encode(Writer& w) const { w.region_id(victim_region); }
-  static StealSecondaryReject decode(Reader& r) { return {r.region_id()}; }
+  static auto fields(auto& m) { return std::tie(m.victim_region); }
 };
 
 /// What a switch proposal swaps.
@@ -476,19 +340,9 @@ struct SwitchRequest {
   std::vector<RegionSnapshot> proposer_neighbors;
   RegionId target_region;
 
-  void encode(Writer& w) const {
-    w.u8(static_cast<std::uint8_t>(kind));
-    proposer_region.encode(w);
-    detail::encode_snapshots(w, proposer_neighbors);
-    w.region_id(target_region);
-  }
-  static SwitchRequest decode(Reader& r) {
-    SwitchRequest m;
-    m.kind = static_cast<SwitchKind>(r.u8());
-    m.proposer_region = RegionSnapshot::decode(r);
-    m.proposer_neighbors = detail::decode_snapshots(r);
-    m.target_region = r.region_id();
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.kind, m.proposer_region, m.proposer_neighbors,
+                    m.target_region);
   }
 };
 
@@ -498,17 +352,8 @@ struct SwitchGrant {
   RegionId target_region;
   NodeInfo counterpart;  ///< the node moving into the proposer's region
 
-  void encode(Writer& w) const {
-    w.u8(static_cast<std::uint8_t>(kind));
-    w.region_id(target_region);
-    counterpart.encode(w);
-  }
-  static SwitchGrant decode(Reader& r) {
-    SwitchGrant m;
-    m.kind = static_cast<SwitchKind>(r.u8());
-    m.target_region = r.region_id();
-    m.counterpart = NodeInfo::decode(r);
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.kind, m.target_region, m.counterpart);
   }
 };
 
@@ -516,8 +361,7 @@ struct SwitchReject {
   static constexpr MsgType kType = MsgType::kSwitchReject;
   RegionId target_region;
 
-  void encode(Writer& w) const { w.region_id(target_region); }
-  static SwitchReject decode(Reader& r) { return {r.region_id()}; }
+  static auto fields(auto& m) { return std::tie(m.target_region); }
 };
 
 /// Proposal to merge the proposer's region into the receiver's adjacent
@@ -530,17 +374,8 @@ struct MergeRequest {
   std::vector<RegionSnapshot> proposer_neighbors;
   RegionId target_region;
 
-  void encode(Writer& w) const {
-    proposer_region.encode(w);
-    detail::encode_snapshots(w, proposer_neighbors);
-    w.region_id(target_region);
-  }
-  static MergeRequest decode(Reader& r) {
-    MergeRequest m;
-    m.proposer_region = RegionSnapshot::decode(r);
-    m.proposer_neighbors = detail::decode_snapshots(r);
-    m.target_region = r.region_id();
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.proposer_region, m.proposer_neighbors, m.target_region);
   }
 };
 
@@ -548,16 +383,14 @@ struct MergeGrant {
   static constexpr MsgType kType = MsgType::kMergeGrant;
   RegionSnapshot merged;  ///< the union region under the receiver
 
-  void encode(Writer& w) const { merged.encode(w); }
-  static MergeGrant decode(Reader& r) { return {RegionSnapshot::decode(r)}; }
+  static auto fields(auto& m) { return std::tie(m.merged); }
 };
 
 struct MergeReject {
   static constexpr MsgType kType = MsgType::kMergeReject;
   RegionId target_region;
 
-  void encode(Writer& w) const { w.region_id(target_region); }
-  static MergeReject decode(Reader& r) { return {r.region_id()}; }
+  static auto fields(auto& m) { return std::tie(m.target_region); }
 };
 
 /// After a load-balance split (mechanism d): old region replaced by two.
@@ -567,18 +400,7 @@ struct SplitRegionNotice {
   RegionSnapshot low;
   RegionSnapshot high;
 
-  void encode(Writer& w) const {
-    w.region_id(old_region);
-    low.encode(w);
-    high.encode(w);
-  }
-  static SplitRegionNotice decode(Reader& r) {
-    SplitRegionNotice m;
-    m.old_region = r.region_id();
-    m.low = RegionSnapshot::decode(r);
-    m.high = RegionSnapshot::decode(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.old_region, m.low, m.high); }
 };
 
 /// What the TTL-guided remote search is looking for.
@@ -599,25 +421,9 @@ struct TtlSearchRequest {
   std::uint8_t ttl = 0;    ///< maximum graph depth of the flood
   std::uint8_t depth = 0;  ///< hops traveled; replies come from depth >= 2
 
-  void encode(Writer& w) const {
-    w.u32(search_id);
-    origin.encode(w);
-    w.u8(static_cast<std::uint8_t>(want));
-    w.f64(min_capacity);
-    w.f64(max_index);
-    w.u8(ttl);
-    w.u8(depth);
-  }
-  static TtlSearchRequest decode(Reader& r) {
-    TtlSearchRequest m;
-    m.search_id = r.u32();
-    m.origin = NodeInfo::decode(r);
-    m.want = static_cast<SearchWant>(r.u8());
-    m.min_capacity = r.f64();
-    m.max_index = r.f64();
-    m.ttl = r.u8();
-    m.depth = r.u8();
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.search_id, m.origin, m.want, m.min_capacity, m.max_index,
+                    m.ttl, m.depth);
   }
 };
 
@@ -627,17 +433,8 @@ struct TtlSearchReply {
   RegionSnapshot candidate;
   SearchWant role = SearchWant::kSecondary;
 
-  void encode(Writer& w) const {
-    w.u32(search_id);
-    candidate.encode(w);
-    w.u8(static_cast<std::uint8_t>(role));
-  }
-  static TtlSearchReply decode(Reader& r) {
-    TtlSearchReply m;
-    m.search_id = r.u32();
-    m.candidate = RegionSnapshot::decode(r);
-    m.role = static_cast<SearchWant>(r.u8());
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.search_id, m.candidate, m.role);
   }
 };
 
@@ -652,16 +449,7 @@ struct OwnerProbe {
   RegionId region;      ///< the suspect region
   NodeInfo prober;      ///< where to send the verdict
 
-  void encode(Writer& w) const {
-    w.region_id(region);
-    prober.encode(w);
-  }
-  static OwnerProbe decode(Reader& r) {
-    OwnerProbe m;
-    m.region = r.region_id();
-    m.prober = NodeInfo::decode(r);
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.region, m.prober); }
 };
 
 // ---------------------------------------------------------------------------
@@ -677,22 +465,7 @@ struct Routed {
   std::uint16_t hops = 0;
   std::vector<std::byte> inner;
 
-  void encode(Writer& w) const {
-    w.point(target);
-    w.u16(hops);
-    w.varint(inner.size());
-    for (std::byte b : inner) w.u8(static_cast<std::uint8_t>(b));
-  }
-  static Routed decode(Reader& r) {
-    Routed m;
-    m.target = r.point();
-    m.hops = r.u16();
-    const auto n = r.varint();
-    m.inner.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-      m.inner.push_back(static_cast<std::byte>(r.u8()));
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.target, m.hops, m.inner); }
 };
 
 // ---------------------------------------------------------------------------
@@ -709,21 +482,8 @@ struct LocationQuery {
   std::string filter;
   bool disseminated = false;  ///< set once the executor fans it out
 
-  void encode(Writer& w) const {
-    w.u64(query_id);
-    focal.encode(w);
-    w.rect(area);
-    w.string(filter);
-    w.boolean(disseminated);
-  }
-  static LocationQuery decode(Reader& r) {
-    LocationQuery m;
-    m.query_id = r.u64();
-    m.focal = NodeInfo::decode(r);
-    m.area = r.rect();
-    m.filter = r.string();
-    m.disseminated = r.boolean();
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.query_id, m.focal, m.area, m.filter, m.disseminated);
   }
 };
 
@@ -733,17 +493,8 @@ struct QueryResult {
   RegionId from_region;
   std::string payload;
 
-  void encode(Writer& w) const {
-    w.u64(query_id);
-    w.region_id(from_region);
-    w.string(payload);
-  }
-  static QueryResult decode(Reader& r) {
-    QueryResult m;
-    m.query_id = r.u64();
-    m.from_region = r.region_id();
-    m.payload = r.string();
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.query_id, m.from_region, m.payload);
   }
 };
 
@@ -757,23 +508,9 @@ struct Subscribe {
   double duration = 0.0;
   bool disseminated = false;
 
-  void encode(Writer& w) const {
-    w.u64(sub_id);
-    subscriber.encode(w);
-    w.rect(area);
-    w.string(filter);
-    w.f64(duration);
-    w.boolean(disseminated);
-  }
-  static Subscribe decode(Reader& r) {
-    Subscribe m;
-    m.sub_id = r.u64();
-    m.subscriber = NodeInfo::decode(r);
-    m.area = r.rect();
-    m.filter = r.string();
-    m.duration = r.f64();
-    m.disseminated = r.boolean();
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.sub_id, m.subscriber, m.area, m.filter, m.duration,
+                    m.disseminated);
   }
 };
 
@@ -782,16 +519,7 @@ struct SubscribeAck {
   std::uint64_t sub_id = 0;
   RegionId region;
 
-  void encode(Writer& w) const {
-    w.u64(sub_id);
-    w.region_id(region);
-  }
-  static SubscribeAck decode(Reader& r) {
-    SubscribeAck m;
-    m.sub_id = r.u64();
-    m.region = r.region_id();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.sub_id, m.region); }
 };
 
 /// An information source publishes a located datum (camera frame summary,
@@ -803,17 +531,8 @@ struct Publish {
   std::string topic;
   std::string payload;
 
-  void encode(Writer& w) const {
-    w.point(location);
-    w.string(topic);
-    w.string(payload);
-  }
-  static Publish decode(Reader& r) {
-    Publish m;
-    m.location = r.point();
-    m.topic = r.string();
-    m.payload = r.string();
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.location, m.topic, m.payload);
   }
 };
 
@@ -823,18 +542,7 @@ struct Notify {
   std::string topic;
   std::string payload;
 
-  void encode(Writer& w) const {
-    w.u64(sub_id);
-    w.string(topic);
-    w.string(payload);
-  }
-  static Notify decode(Reader& r) {
-    Notify m;
-    m.sub_id = r.u64();
-    m.topic = r.string();
-    m.payload = r.string();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.sub_id, m.topic, m.payload); }
 };
 
 /// Cancels a standing subscription before its duration expires.  Carries
@@ -847,19 +555,8 @@ struct Unsubscribe {
   Rect area;
   bool disseminated = false;
 
-  void encode(Writer& w) const {
-    w.u64(sub_id);
-    subscriber.encode(w);
-    w.rect(area);
-    w.boolean(disseminated);
-  }
-  static Unsubscribe decode(Reader& r) {
-    Unsubscribe m;
-    m.sub_id = r.u64();
-    m.subscriber = NodeInfo::decode(r);
-    m.area = r.rect();
-    m.disseminated = r.boolean();
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.sub_id, m.subscriber, m.area, m.disseminated);
   }
 };
 
@@ -870,37 +567,21 @@ struct Unsubscribe {
 /// Timestamped location report from a mobile user, forwarded by its access
 /// proxy and routed to the region covering the new position.  `seq` is a
 /// per-user monotonic counter so reordered or replayed reports cannot roll a
-/// record backwards.  When `has_prev` is set the previous report's position
-/// travels along: the ingesting owner uses it to (a) suppress duplicate
-/// subscription notifications while the user wanders inside one subscribed
-/// area and (b) evict the stale record from the old owning region when the
-/// movement crossed a region boundary.
+/// record backwards.  When `prev_location` is set the previous report's
+/// position travels along: the ingesting owner uses it to (a) suppress
+/// duplicate subscription notifications while the user wanders inside one
+/// subscribed area and (b) evict the stale record from the old owning region
+/// when the movement crossed a region boundary.
 struct LocationUpdate {
   static constexpr MsgType kType = MsgType::kLocationUpdate;
   UserId user{};
   Point location{};
   std::uint64_t seq = 0;
-  bool has_prev = false;
-  Point prev_location{};
+  std::optional<Point> prev_location{};
   NodeInfo reporter{};  ///< access proxy to acknowledge
 
-  void encode(Writer& w) const {
-    w.user_id(user);
-    w.point(location);
-    w.u64(seq);
-    w.boolean(has_prev);
-    if (has_prev) w.point(prev_location);
-    reporter.encode(w);
-  }
-  static LocationUpdate decode(Reader& r) {
-    LocationUpdate m;
-    m.user = r.user_id();
-    m.location = r.point();
-    m.seq = r.u64();
-    m.has_prev = r.boolean();
-    if (m.has_prev) m.prev_location = r.point();
-    m.reporter = NodeInfo::decode(r);
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.user, m.location, m.seq, m.prev_location, m.reporter);
   }
 };
 
@@ -911,18 +592,7 @@ struct LocationUpdateAck {
   std::uint64_t seq = 0;
   RegionId region{};
 
-  void encode(Writer& w) const {
-    w.user_id(user);
-    w.u64(seq);
-    w.region_id(region);
-  }
-  static LocationUpdateAck decode(Reader& r) {
-    LocationUpdateAck m;
-    m.user = r.user_id();
-    m.seq = r.u64();
-    m.region = r.region_id();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.user, m.seq, m.region); }
 };
 
 /// New owning region -> old owning region (routed toward the user's previous
@@ -935,18 +605,7 @@ struct UserHandoff {
   std::uint64_t seq = 0;
   RegionId new_region{};
 
-  void encode(Writer& w) const {
-    w.user_id(user);
-    w.u64(seq);
-    w.region_id(new_region);
-  }
-  static UserHandoff decode(Reader& r) {
-    UserHandoff m;
-    m.user = r.user_id();
-    m.seq = r.u64();
-    m.new_region = r.region_id();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.user, m.seq, m.new_region); }
 };
 
 /// Point lookup for a user, routed toward `hint` (the requester's last known
@@ -959,19 +618,8 @@ struct LocateRequest {
   UserId user{};
   Point hint{};
 
-  void encode(Writer& w) const {
-    w.u64(request_id);
-    requester.encode(w);
-    w.user_id(user);
-    w.point(hint);
-  }
-  static LocateRequest decode(Reader& r) {
-    LocateRequest m;
-    m.request_id = r.u64();
-    m.requester = NodeInfo::decode(r);
-    m.user = r.user_id();
-    m.hint = r.point();
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.request_id, m.requester, m.user, m.hint);
   }
 };
 
@@ -985,25 +633,9 @@ struct LocateReply {
   RegionId region{};
   std::uint16_t hops = 0;  ///< routed hops the request took to the owner
 
-  void encode(Writer& w) const {
-    w.u64(request_id);
-    w.user_id(user);
-    w.boolean(found);
-    w.point(location);
-    w.u64(seq);
-    w.region_id(region);
-    w.u16(hops);
-  }
-  static LocateReply decode(Reader& r) {
-    LocateReply m;
-    m.request_id = r.u64();
-    m.user = r.user_id();
-    m.found = r.boolean();
-    m.location = r.point();
-    m.seq = r.u64();
-    m.region = r.region_id();
-    m.hops = r.u16();
-    return m;
+  static auto fields(auto& m) {
+    return std::tie(m.request_id, m.user, m.found, m.location, m.seq, m.region,
+                    m.hops);
   }
 };
 
@@ -1018,18 +650,7 @@ struct NearestRequest {
   Point center{};
   std::uint32_t k = 0;
 
-  void encode(Writer& w) const {
-    w.u64(query_id);
-    w.point(center);
-    w.u32(k);
-  }
-  static NearestRequest decode(Reader& r) {
-    NearestRequest m;
-    m.query_id = r.u64();
-    m.center = r.point();
-    m.k = r.u32();
-    return m;
-  }
+  static auto fields(auto& m) { return std::tie(m.query_id, m.center, m.k); }
 };
 
 // ---------------------------------------------------------------------------
@@ -1062,10 +683,9 @@ std::vector<std::byte> encode_message(const Message& m);
 Message decode_message(const std::byte* data, std::size_t size);
 Message decode_message(const std::vector<std::byte>& bytes);
 
-/// Encoded wire size of a message, plus a fixed per-packet overhead that
-/// stands in for UDP/IP headers in the traffic accounting.
+/// Fixed per-packet overhead added to each encoded message in the traffic
+/// accounting; it stands in for UDP/IP headers.
 inline constexpr std::size_t kPacketOverheadBytes = 28;
-std::size_t wire_size(const Message& m);
 
 /// Wraps a message into a Routed envelope addressed at `target`.
 Routed make_routed(const Point& target, const Message& inner);

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <optional>
+#include <tuple>
 
 #include "common/geometry.h"
 #include "common/ids.h"
@@ -26,18 +27,7 @@ struct NodeInfo {
 
   friend bool operator==(const NodeInfo&, const NodeInfo&) = default;
 
-  void encode(Writer& w) const {
-    w.node_id(id);
-    w.point(coord);
-    w.f64(capacity);
-  }
-  static NodeInfo decode(Reader& r) {
-    NodeInfo info;
-    info.id = r.node_id();
-    info.coord = r.point();
-    info.capacity = r.f64();
-    return info;
-  }
+  static auto fields(auto& m) { return std::tie(m.id, m.coord, m.capacity); }
 };
 
 /// A node's view of one region: geometry, owners, and load facts.
@@ -61,26 +51,9 @@ struct RegionSnapshot {
 
   friend bool operator==(const RegionSnapshot&, const RegionSnapshot&) = default;
 
-  void encode(Writer& w) const {
-    w.region_id(region);
-    w.rect(rect);
-    primary.encode(w);
-    w.boolean(secondary.has_value());
-    if (secondary) secondary->encode(w);
-    w.f64(load);
-    w.f64(workload_index);
-    w.varint(static_cast<std::uint64_t>(split_depth));
-  }
-  static RegionSnapshot decode(Reader& r) {
-    RegionSnapshot s;
-    s.region = r.region_id();
-    s.rect = r.rect();
-    s.primary = NodeInfo::decode(r);
-    if (r.boolean()) s.secondary = NodeInfo::decode(r);
-    s.load = r.f64();
-    s.workload_index = r.f64();
-    s.split_depth = static_cast<int>(r.varint());
-    return s;
+  static auto fields(auto& m) {
+    return std::tie(m.region, m.rect, m.primary, m.secondary, m.load,
+                    m.workload_index, m.split_depth);
   }
 };
 

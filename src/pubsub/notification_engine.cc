@@ -246,7 +246,7 @@ void NotificationEngine::to_notify(const Notification& n,
 void NotificationEngine::serialize(net::Writer& w,
                                    std::span<const Notification> batch) {
   w.varint(batch.size());
-  for (const Notification& n : batch) n.encode(w);
+  for (const Notification& n : batch) net::put(w, n);
 }
 
 }  // namespace geogrid::pubsub

@@ -57,6 +57,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "common/ids.h"
@@ -88,11 +89,8 @@ struct Notification {
   friend bool operator==(const Notification&, const Notification&) = default;
 
   /// Canonical encoding — the unit the divergence abort compares.
-  void encode(net::Writer& w) const {
-    w.u64(sub_id);
-    w.user_id(user);
-    w.u8(static_cast<std::uint8_t>(event));
-    w.point(position);
+  static auto fields(auto& m) {
+    return std::tie(m.sub_id, m.user, m.event, m.position);
   }
 };
 

@@ -29,7 +29,7 @@ bool Network::is_attached(NodeId id) const {
   return endpoints_.contains(id);
 }
 
-void Network::send(NodeId from, NodeId to, net::Message msg) {
+void Network::send(NodeId from, NodeId to, const net::Message& msg) {
   ++stats_.messages_sent;
   const auto type = net::message_type(msg);
   ++stats_.per_type[static_cast<std::size_t>(type)];
@@ -45,17 +45,15 @@ void Network::send(NodeId from, NodeId to, net::Message msg) {
     return;
   }
 
-  stats_.bytes_sent += net::wire_size(msg);
+  // Encode once: the bytes are both what the accounting counts and what
+  // the receiver decodes (outside the delivery closure, so a malformed
+  // encoding surfaces at send time with the sender on the stack).
+  const std::vector<std::byte> bytes = net::encode_message(msg);
+  stats_.bytes_sent += bytes.size() + net::kPacketOverheadBytes;
+  auto payload = std::make_shared<net::Message>(net::decode_message(bytes));
 
   const Time latency =
       options_.latency.sample(src->second.coord, dst->second.coord, rng_);
-
-  // Round-trip through the codec (outside the delivery closure so malformed
-  // encodings surface at send time, with the sender on the stack).
-  auto payload = std::make_shared<net::Message>(
-      options_.verify_serialization
-          ? net::decode_message(net::encode_message(msg))
-          : std::move(msg));
 
   // Deliveries are one-shot and never cancelled (a crashed receiver is
   // checked at fire time), so skip the cancellation-handle allocation.

@@ -68,10 +68,6 @@ class Network {
   struct Options {
     LatencyModel latency{};
     double loss_probability = 0.0;  ///< uniform random packet loss
-    /// When true every message is encoded and re-decoded through the wire
-    /// codec before delivery, proving the protocol only relies on
-    /// information that serializes.
-    bool verify_serialization = true;
   };
 
   Network(EventLoop& loop, Rng rng, Options options)
@@ -91,9 +87,11 @@ class Network {
   bool is_up(NodeId id) const;
   bool is_attached(NodeId id) const;
 
-  /// Sends `msg` from `from` to `to` with simulated latency.  Self-sends are
-  /// delivered through the loop like any other message.
-  void send(NodeId from, NodeId to, net::Message msg);
+  /// Sends `msg` from `from` to `to` with simulated latency.  The receiver
+  /// gets the decode of the bytes the traffic accounting counted, which
+  /// proves the protocol only relies on information that serializes.
+  /// Self-sends are delivered through the loop like any other message.
+  void send(NodeId from, NodeId to, const net::Message& msg);
 
   const NetworkStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = NetworkStats{}; }

@@ -66,22 +66,24 @@ TEST(Codec, FloatSpecials) {
 
 TEST(Codec, GeometryRoundTrip) {
   Writer w;
-  w.point(geogrid::Point{1.5, -2.25});
-  w.rect(geogrid::Rect{0, 32, 64, 32});
+  put(w, geogrid::Point{1.5, -2.25});
+  put(w, geogrid::Rect{0, 32, 64, 32});
+  EXPECT_EQ(w.size(), 6 * sizeof(double));
   Reader r(w.bytes());
-  EXPECT_EQ(r.point(), (geogrid::Point{1.5, -2.25}));
-  EXPECT_EQ(r.rect(), (geogrid::Rect{0, 32, 64, 32}));
+  EXPECT_EQ(get<geogrid::Point>(r), (geogrid::Point{1.5, -2.25}));
+  EXPECT_EQ(get<geogrid::Rect>(r), (geogrid::Rect{0, 32, 64, 32}));
 }
 
 TEST(Codec, IdsRoundTrip) {
   Writer w;
-  w.node_id(geogrid::NodeId{42});
-  w.region_id(geogrid::RegionId{7});
-  w.node_id(geogrid::kInvalidNode);
+  put(w, geogrid::NodeId{42});
+  put(w, geogrid::RegionId{7});
+  put(w, geogrid::kInvalidNode);
+  EXPECT_EQ(w.size(), 3 * sizeof(std::uint32_t));
   Reader r(w.bytes());
-  EXPECT_EQ(r.node_id(), (geogrid::NodeId{42}));
-  EXPECT_EQ(r.region_id(), (geogrid::RegionId{7}));
-  EXPECT_FALSE(r.node_id().valid());
+  EXPECT_EQ(get<geogrid::NodeId>(r), (geogrid::NodeId{42}));
+  EXPECT_EQ(get<geogrid::RegionId>(r), (geogrid::RegionId{7}));
+  EXPECT_FALSE(get<geogrid::NodeId>(r).valid());
 }
 
 TEST(Codec, TruncatedInputThrows) {
@@ -131,9 +133,9 @@ NodeInfo subscriber_node() {
 template <typename M>
 M field_roundtrip(const M& m) {
   Writer w;
-  m.encode(w);
+  put(w, m);
   Reader r(w.bytes());
-  M out = M::decode(r);
+  M out = get<M>(r);
   EXPECT_TRUE(r.done()) << "decoder left trailing bytes";
   return out;
 }

@@ -255,5 +255,60 @@ TEST(Framing, EveryPrefixOfMalformedStreamNeverOverreads) {
   }
 }
 
+/// `[u16 type][before...][varint count]`: the body of a count-prefixed
+/// message cut right after its element count.
+template <typename... Fields>
+std::vector<std::byte> counted_body(MsgType type, std::uint64_t count,
+                                    const Fields&... before) {
+  Writer body;
+  put(body, type);
+  (put(body, before), ...);
+  body.varint(count);
+  return std::move(body).take();
+}
+
+TEST(Framing, HostileElementCountsFailWithoutThrowing) {
+  // A peer that declares 2^40 or 2^62 elements in a frame of a few bytes
+  // must cost it the connection, not the decoder an allocation it cannot
+  // make: next() returns kError and never throws.
+  RegionSnapshot snap;
+  snap.region = RegionId{1};
+  snap.rect = Rect{0, 0, 8, 8};
+  for (const std::uint64_t count : {std::uint64_t{1} << 40,
+                                    std::uint64_t{1} << 62}) {
+    const std::vector<std::byte> bodies[] = {
+        counted_body(MsgType::kJoinProbeReply, count, snap),
+        counted_body(MsgType::kJoinGrant, count, snap, OwnerRole::kPrimary),
+        counted_body(MsgType::kRegionHandoff, count, snap),
+        counted_body(MsgType::kLoadStatsExchange, count),
+        counted_body(MsgType::kSwitchRequest, count,
+                     SwitchKind::kPrimaryWithPrimary, snap),
+        counted_body(MsgType::kMergeRequest, count, snap),
+        counted_body(MsgType::kRouted, count, Point{1, 2}, std::uint16_t{3}),
+    };
+    for (const std::vector<std::byte>& body : bodies) {
+      Reader tag(body);
+      SCOPED_TRACE(std::string(message_name(get<MsgType>(tag))) +
+                   " declaring " + std::to_string(count) + " elements");
+      Writer frame;
+      frame.blob(body);  // the length prefix, then the body
+      FrameDecoder dec;
+      dec.feed(frame.bytes());
+      const FrameDecoder::Result r = dec.next();
+      EXPECT_EQ(r.status, Status::kError);
+      EXPECT_FALSE(r.message.has_value());
+    }
+  }
+
+  // The 9-byte frame ServeTest.MalformedFrameClosesConnectionServerSurvives
+  // sends to a live server.
+  Writer frame;
+  frame.blob(counted_body(MsgType::kLoadStatsExchange, 1ull << 40));
+  const unsigned char sent[] = {0x08, 0x32, 0x00, 0x80, 0x80,
+                                0x80, 0x80, 0x80, 0x20};
+  ASSERT_EQ(frame.size(), sizeof sent);
+  EXPECT_EQ(std::memcmp(frame.bytes().data(), sent, sizeof sent), 0);
+}
+
 }  // namespace
 }  // namespace geogrid::net

@@ -136,16 +136,15 @@ TEST(Network, AccountsTraffic) {
   const auto& s = net.stats();
   EXPECT_EQ(s.messages_sent, 2u);
   EXPECT_EQ(s.messages_delivered, 2u);
-  EXPECT_GT(s.bytes_sent, 2 * net::kPacketOverheadBytes);
+  // HeartbeatAck: u16 tag + u32 region; Heartbeat: the same plus two f64.
+  EXPECT_EQ(s.bytes_sent, 6 + 22 + 2 * net::kPacketOverheadBytes);
   EXPECT_EQ(s.count(net::MsgType::kHeartbeatAck), 1u);
   EXPECT_EQ(s.count(net::MsgType::kHeartbeat), 1u);
 }
 
 TEST(Network, VerifySerializationPreservesContent) {
   EventLoop loop;
-  Network::Options opt;
-  opt.verify_serialization = true;
-  Network net(loop, Rng(8), opt);
+  Network net(loop, Rng(8));
 
   struct Inspect : Process {
     double load = 0.0;

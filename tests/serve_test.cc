@@ -320,36 +320,43 @@ TEST_P(ServeTest, MalformedFrameClosesConnectionServerSurvives) {
   Server server(wired.engines(), core::ServeOptions{});
   server.start();
 
-  // Hostile peer: six varint continuation bytes — an overlong length
-  // prefix the decoder must reject.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  const unsigned char garbage[6] = {0x80, 0x80, 0x80, 0x80, 0x80, 0x80};
-  ASSERT_EQ(::send(fd, garbage, sizeof(garbage), 0),
-            static_cast<ssize_t>(sizeof(garbage)));
+  // Hostile peers, one connection each: six varint continuation bytes (an
+  // overlong length prefix the decoder must reject), and a 9-byte
+  // LoadStatsExchange frame declaring 2^40 snapshots (a count the decoder
+  // must refuse before allocating for it).
+  const std::vector<std::vector<unsigned char>> hostile = {
+      {0x80, 0x80, 0x80, 0x80, 0x80, 0x80},
+      {0x08, 0x32, 0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20},
+  };
+  for (std::size_t i = 0; i < hostile.size(); ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(server.port());
+    ASSERT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    ASSERT_EQ(::send(fd, hostile[i].data(), hostile[i].size(), 0),
+              static_cast<ssize_t>(hostile[i].size()));
 
-  // The server cuts the connection (recv sees EOF) and stays up.
-  EXPECT_TRUE(wait_until([&] {
-    return server.counters().malformed_frames == 1;
-  }));
-  char buf[8];
-  EXPECT_TRUE(wait_until([&] {
-    return ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT) == 0;
-  }));
-  ::close(fd);
+    // The server cuts the connection (recv sees EOF) and stays up.
+    EXPECT_TRUE(wait_until([&] {
+      return server.counters().malformed_frames == i + 1;
+    }));
+    char buf[8];
+    EXPECT_TRUE(wait_until([&] {
+      return ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT) == 0;
+    }));
+    ::close(fd);
+  }
 
   Client c = make_client(server);
   c.update_batch(fleet_batch(10, 1));
   EXPECT_TRUE(c.locate(UserId{1}).found);
   c.close();
   server.stop();
-  EXPECT_EQ(server.counters().malformed_frames, 1u);
+  EXPECT_EQ(server.counters().malformed_frames, 2u);
 }
 
 TEST_P(ServeTest, OversizedFramePrefixCutsConnection) {
