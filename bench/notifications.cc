@@ -27,11 +27,10 @@
 // incremental/rescan boundary aborts the bench.
 //
 // Match latency percentiles come from the incremental engine's
-// metrics::LatencyHistogram.  Timing is sampled (every Nth candidate
-// user, NotificationEngine::Options::timing_sample_every), so the two
-// steady_clock reads bracketing a measured match no longer run once per
-// candidate — the percentiles describe matching cost, and the sub-
-// microsecond clock overhead stops inflating both match_p50_us and the
+// metrics::LatencyHistogram.  The engine times every 32nd candidate user,
+// so the two steady_clock reads bracketing a measured match do not run
+// once per candidate — the percentiles describe matching cost, and the
+// sub-microsecond clock overhead stays out of both match_p50_us and the
 // throughput denominator.  Sampling never changes the emitted bytes.
 //
 // Populations sweep 10k-100k users (subscriptions = users) by default;
@@ -42,12 +41,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -66,40 +61,8 @@ constexpr std::size_t kNodes = 1000;
 constexpr double kMoveFraction = 0.01;  ///< population reporting per epoch
 constexpr double kFriendFraction = 0.10;
 constexpr double kRangeFraction = 0.45;  ///< rest of the rect subs: geofence
-/// Explicit match-thread counts for the scaling curve; 8 is the headline.
-constexpr std::size_t kThreadSweep[] = {1, 2, 4, 8, 16};
-constexpr std::size_t kHeadlineThreads = 8;
-
-struct CurvePoint {
-  std::size_t threads = 0;
-  double notifications_per_sec = 0.0;
-};
-
-struct RunResult {
-  std::size_t users = 0;
-  std::size_t subs = 0;
-  std::size_t epochs = 0;
-  std::uint64_t notifications = 0;         ///< emitted over measured epochs
-  std::uint64_t delta_users = 0;           ///< candidates matched (incremental)
-  double notifications_per_sec = 0.0;      ///< incremental drain throughput
-  double notifications_per_sec_requery = 0.0;
-  double speedup_incremental = 0.0;        ///< requery time / incremental time
-  std::size_t threads = 0;
-  std::vector<CurvePoint> curve;           ///< the full thread sweep
-  double match_p50_us = 0.0;
-  double match_p99_us = 0.0;
-};
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-void fail(const char* what) {
-  std::fprintf(stderr, "divergence abort: %s\n", what);
-  std::exit(1);
-}
+/// Named by each point (the headline entry) and by each thread-curve entry.
+constexpr char kNotificationsPerSec[] = "notifications_per_sec";
 
 std::vector<std::byte> stream_bytes(
     std::span<const pubsub::Notification> batch) {
@@ -146,8 +109,8 @@ void install_subscriptions(pubsub::SubscriptionIndex& idx,
   }
 }
 
-RunResult measure(std::size_t user_count, std::size_t sub_count,
-                  std::size_t epochs, std::uint64_t seed) {
+void measure(bench::Report& report, std::size_t user_count,
+             std::size_t sub_count, std::size_t epochs, std::uint64_t seed) {
   core::SimulationOptions opt;
   opt.mode = core::GridMode::kDualPeer;
   opt.node_count = kNodes;
@@ -155,21 +118,17 @@ RunResult measure(std::size_t user_count, std::size_t sub_count,
   core::GridSimulation sim(opt);
   const Rect plane = sim.partition().plane();
 
-  RunResult r;
-  r.users = user_count;
-  r.subs = sub_count;
-  r.epochs = epochs;
-
   const double cell_size = std::clamp(
       std::sqrt(4096.0 * 16.0 / static_cast<double>(user_count)), 0.25, 2.0);
   mobility::ShardedDirectory dir_serial(
       sim.partition(),
       {.shards = 1, .cell_size = cell_size, .track_deltas = true});
   mobility::ShardedDirectory dir_inc(
-      sim.partition(),
-      {.shards = 8, .cell_size = cell_size, .track_deltas = true});
+      sim.partition(), {.shards = bench::kHeadline,
+                        .cell_size = cell_size,
+                        .track_deltas = true});
   mobility::ShardedDirectory dir_requery(
-      sim.partition(), {.shards = 8, .cell_size = cell_size});
+      sim.partition(), {.shards = bench::kHeadline, .cell_size = cell_size});
 
   // One shared subscription index: drains are sequential and matching is
   // read-only, so all the engines can probe the same frozen grid.  The
@@ -178,14 +137,14 @@ RunResult measure(std::size_t user_count, std::size_t sub_count,
   pubsub::SubscriptionIndex subs(plane);
   pubsub::NotificationEngine serial(dir_serial, subs, {.threads = 1});
   std::vector<std::unique_ptr<pubsub::NotificationEngine>> sweep;
-  for (const std::size_t t : kThreadSweep) {
+  for (const std::size_t t : bench::kSweep) {
     sweep.push_back(std::make_unique<pubsub::NotificationEngine>(
         dir_inc, subs,
         pubsub::NotificationEngine::Options{.threads = t,
                                             .trim_consumed = false}));
   }
   pubsub::NotificationEngine requery(dir_requery, subs,
-                                     {.threads = kHeadlineThreads});
+                                     {.threads = bench::kHeadline});
 
   // Initial placement (hot-spot attracted, like the motion workloads) and
   // the bootstrap drain — taken against an empty index so the steady-state
@@ -208,11 +167,11 @@ RunResult measure(std::size_t user_count, std::size_t sub_count,
     dir_requery.apply_updates(batch);
   }
   if (!serial.drain().empty() || !requery.drain().empty()) {
-    fail("bootstrap drain emitted against an empty index");
+    bench::fail("bootstrap drain emitted against an empty index");
   }
   for (auto& engine : sweep) {
     if (!engine->drain().empty()) {
-      fail("bootstrap drain emitted against an empty index");
+      bench::fail("bootstrap drain emitted against an empty index");
     }
   }
 
@@ -258,45 +217,51 @@ RunResult measure(std::size_t user_count, std::size_t sub_count,
     for (std::size_t s = 0; s < sweep.size(); ++s) {
       const auto t0 = std::chrono::steady_clock::now();
       const auto inc = sweep[s]->drain();
-      sweep_secs[s] += seconds_since(t0);
+      sweep_secs[s] += bench::seconds_since(t0);
       if (stream_bytes(inc) != want) {
-        fail("incremental (K=8) vs serial (K=1, 1 thread)");
+        bench::fail("incremental (K=8) vs serial (K=1, 1 thread)");
       }
       if (s == 0) notifications += inc.size();
     }
 
     const auto t_req = std::chrono::steady_clock::now();
     const auto req = requery.drain();
-    req_secs += seconds_since(t_req);
+    req_secs += bench::seconds_since(t_req);
     if (stream_bytes(req) != want) {
-      fail("re-query rescan vs incremental");
+      bench::fail("re-query rescan vs incremental");
     }
   }
 
-  r.notifications = notifications;
-  double headline_secs = sweep_secs.back();
+  const pubsub::NotificationEngine* headline = nullptr;
+  double headline_secs = 0.0;
+  std::vector<bench::CurveEntry> curve;
   for (std::size_t s = 0; s < sweep.size(); ++s) {
-    CurvePoint pt;
-    pt.threads = sweep[s]->thread_count();
-    pt.notifications_per_sec =
-        static_cast<double>(notifications) / sweep_secs[s];
-    r.curve.push_back(pt);
-    if (kThreadSweep[s] == kHeadlineThreads) {
-      headline_secs = sweep_secs[s];
-      r.notifications_per_sec = pt.notifications_per_sec;
-      r.threads = pt.threads;
-      r.delta_users = sweep[s]->counters().delta_users;
-      r.match_p50_us = sweep[s]->match_latency().percentile_micros(50);
-      r.match_p99_us = sweep[s]->match_latency().percentile_micros(99);
-    }
     if (sweep[s]->counters().full_rescans != 0) {
-      fail("incremental engine fell back to a rescan");
+      bench::fail("incremental engine fell back to a rescan");
+    }
+    curve.push_back(
+        {sweep[s]->thread_count(),
+         {{kNotificationsPerSec,
+           static_cast<double>(notifications) / sweep_secs[s], 0}}});
+    if (bench::kSweep[s] == bench::kHeadline) {
+      headline = sweep[s].get();
+      headline_secs = sweep_secs[s];
     }
   }
-  r.notifications_per_sec_requery =
-      static_cast<double>(notifications) / req_secs;
-  r.speedup_incremental = req_secs / headline_secs;
-  return r;
+  report.add(
+      {{"users", user_count},
+       {"subs", sub_count},
+       {"epochs", epochs},
+       {"notifications", notifications},
+       {kNotificationsPerSec,
+        static_cast<double>(notifications) / headline_secs, 0},
+       {"notifications_per_sec_requery",
+        static_cast<double>(notifications) / req_secs, 0},
+       {"speedup_incremental", req_secs / headline_secs, 2},
+       {"threads", headline->thread_count()},
+       {"match_p50_us", headline->match_latency().percentile_micros(50), 2},
+       {"match_p99_us", headline->match_latency().percentile_micros(99), 2}},
+      std::move(curve));
 }
 
 }  // namespace
@@ -304,89 +269,17 @@ RunResult measure(std::size_t user_count, std::size_t sub_count,
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   const std::size_t epochs = smoke ? 10 : 20;
-  const std::vector<std::size_t> populations =
-      smoke ? std::vector<std::size_t>{10'000}
-            : bench::pick_populations({10'000, 100'000});
-  const std::size_t host_cores =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-
-  std::printf("Notifications: %zu-node engine grid, subscriptions = users, "
-              "%.0f%% of the population moves per epoch, %zu epochs "
-              "(host cores: %zu)\n",
-              kNodes, kMoveFraction * 100.0, epochs, host_cores);
-  auto csv = bench::csv_for("notifications");
-  if (csv) {
-    csv->header({"users", "subs", "epochs", "notifications",
-                 "notifications_per_sec", "notifications_per_sec_requery",
-                 "speedup_incremental", "threads", "match_p50_us",
-                 "match_p99_us"});
+  bench::Report report(
+      "notifications",
+      "Notifications: engine grid, subscriptions = users, movers report "
+      "once per epoch",
+      {{"nodes", kNodes},
+       {"move_fraction", kMoveFraction, 3},
+       {"host_cores", bench::host_cores()}});
+  for (const std::size_t users :
+       smoke ? std::vector<std::size_t>{10'000}
+             : bench::pick_populations({10'000, 100'000})) {
+    measure(report, users, users, epochs, 4242);
   }
-
-  std::vector<RunResult> results;
-  std::printf("%9s %9s %14s %16s %14s %8s %8s\n", "users", "subs",
-              "notifications", "incremental/sec", "requery/sec", "speedup",
-              "threads");
-  for (const std::size_t users : populations) {
-    const RunResult r = measure(users, users, epochs, 4242);
-    results.push_back(r);
-    std::printf("%9zu %9zu %14llu %16.0f %14.0f %7.1fx %8zu\n", r.users,
-                r.subs, static_cast<unsigned long long>(r.notifications),
-                r.notifications_per_sec, r.notifications_per_sec_requery,
-                r.speedup_incremental, r.threads);
-    std::printf("          match p50/p99 %.2f/%.2fus (sampled) over %llu "
-                "candidate users\n",
-                r.match_p50_us, r.match_p99_us,
-                static_cast<unsigned long long>(r.delta_users));
-    for (const CurvePoint& pt : r.curve) {
-      std::printf("          threads=%-3zu %16.0f notifications/sec\n",
-                  pt.threads, pt.notifications_per_sec);
-    }
-    if (csv) {
-      csv->row(r.users, r.subs, r.epochs, r.notifications,
-               r.notifications_per_sec, r.notifications_per_sec_requery,
-               r.speedup_incremental, r.threads, r.match_p50_us,
-               r.match_p99_us);
-    }
-  }
-  std::printf("divergence aborts: 0 (all streams byte-identical across "
-              "shard/thread counts and the re-query baseline)\n");
-
-  if (const char* path = std::getenv("GEOGRID_JSON_OUT")) {
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path);
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"notifications\",\n"
-                    "  \"nodes\": %zu,\n  \"move_fraction\": %.3f,\n"
-                    "  \"host_cores\": %zu,\n"
-                    "  \"points\": [\n",
-                 kNodes, kMoveFraction, host_cores);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const RunResult& r = results[i];
-      std::fprintf(
-          f,
-          "    {\"users\": %zu, \"subs\": %zu, \"epochs\": %zu, "
-          "\"notifications\": %llu, \"notifications_per_sec\": %.0f, "
-          "\"notifications_per_sec_requery\": %.0f, "
-          "\"speedup_incremental\": %.2f, \"threads\": %zu, "
-          "\"match_p50_us\": %.2f, \"match_p99_us\": %.2f,\n"
-          "     \"thread_curve\": [",
-          r.users, r.subs, r.epochs,
-          static_cast<unsigned long long>(r.notifications),
-          r.notifications_per_sec, r.notifications_per_sec_requery,
-          r.speedup_incremental, r.threads, r.match_p50_us, r.match_p99_us);
-      for (std::size_t c = 0; c < r.curve.size(); ++c) {
-        std::fprintf(f,
-                     "%s{\"threads\": %zu, \"notifications_per_sec\": %.0f}",
-                     c == 0 ? "" : ", ", r.curve[c].threads,
-                     r.curve[c].notifications_per_sec);
-      }
-      std::fprintf(f, "]}%s\n", i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("baseline written to %s\n", path);
-  }
-  return 0;
+  return report.finish();
 }

@@ -40,10 +40,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -64,36 +61,10 @@ constexpr std::size_t kQueries = 120'000;
 constexpr std::size_t kBatchSize = 4096;
 constexpr std::size_t kLatencySample = 30'000;
 constexpr std::size_t kNearestK = 16;
-/// Explicit thread counts for the scaling curve; 8 is the headline entry.
-constexpr std::size_t kThreadSweep[] = {1, 2, 4, 8, 16};
-constexpr std::size_t kHeadlineThreads = 8;
-
-struct CurvePoint {
-  std::size_t threads = 0;
-  double queries_per_sec = 0.0;
-};
-
-struct RunResult {
-  std::size_t users = 0;
-  std::size_t queries = 0;
-  double queries_per_sec = 0.0;           ///< serial per-call (baseline key)
-  double queries_per_sec_batched = 0.0;   ///< QueryEngine, 1 thread
-  double queries_per_sec_parallel = 0.0;  ///< QueryEngine, 8 threads, pinned
-  std::size_t threads = 0;                ///< thread count of the parallel run
-  std::vector<CurvePoint> curve;          ///< the full thread sweep
-  double speedup_batched = 0.0;
-  std::uint64_t records_returned = 0;
-  double locate_p50_us = 0.0, locate_p99_us = 0.0;
-  double range_p50_us = 0.0, range_p99_us = 0.0;
-  double knn_p50_us = 0.0, knn_p99_us = 0.0;
-  double batched_p50_us = 0.0, batched_p99_us = 0.0;
-};
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
+/// Named by each point (the serial rate) and by each thread-curve entry.
+constexpr char kQueriesPerSec[] = "queries_per_sec";
+/// Carried both run-wide and per point.
+const bench::Metric kQueryCount{"queries", kQueries};
 
 void ingest_population(core::GridSimulation& sim, std::size_t user_count,
                        std::uint64_t seed, mobility::ShardedDirectory& dir) {
@@ -152,11 +123,6 @@ std::vector<std::byte> result_bytes(
   return std::move(w).take();
 }
 
-void fail(const char* what) {
-  std::fprintf(stderr, "consistency violation: %s\n", what);
-  std::exit(1);
-}
-
 /// Sampled serial-vs-engine answer check: exact for locate and kNN,
 /// multiset-equal for range (the two paths merge regions in different
 /// orders, which is not part of either contract).
@@ -174,34 +140,31 @@ void cross_check(const mobility::ShardedDirectory& dir,
     switch (q.kind) {
       case mobility::Query::Kind::kLocate: {
         const auto expect = dir.locate(q.user);
-        if (r.found != expect.has_value()) fail("locate presence");
-        if (expect && !(r.located == *expect)) fail("locate record");
+        if (r.found != expect.has_value()) bench::fail("locate presence");
+        if (expect && !(r.located == *expect)) bench::fail("locate record");
         break;
       }
       case mobility::Query::Kind::kRange:
         if (sorted(r.records) != sorted(dir.range(q.rect))) {
-          fail("range multiset");
+          bench::fail("range multiset");
         }
         break;
       case mobility::Query::Kind::kNearest: {
         const auto expect = dir.k_nearest(q.point, q.k);
-        if (r.records != expect) fail("k_nearest order");
+        if (r.records != expect) bench::fail("k_nearest order");
         break;
       }
     }
   }
 }
 
-RunResult measure(std::size_t user_count, std::uint64_t seed) {
+void measure(bench::Report& report, std::size_t user_count,
+             std::uint64_t seed) {
   core::SimulationOptions opt;
   opt.mode = core::GridMode::kDualPeer;
   opt.node_count = kNodes;
   opt.seed = seed;
   core::GridSimulation sim(opt);
-
-  RunResult r;
-  r.users = user_count;
-  r.queries = kQueries;
 
   // Store-cell pitch scaled to the population: ~16 users per cell at
   // uniform density.  A fixed pitch either leaves 1M-user hot cells with
@@ -215,8 +178,8 @@ RunResult measure(std::size_t user_count, std::uint64_t seed) {
                                  {.shards = 1, .cell_size = cell_size});
   ingest_population(sim, user_count, seed, dir);
   // A K=8 twin of the same trace pins shard-count invariance end to end.
-  mobility::ShardedDirectory dir_k8(sim.partition(),
-                                    {.shards = 8, .cell_size = cell_size});
+  mobility::ShardedDirectory dir_k8(
+      sim.partition(), {.shards = bench::kHeadline, .cell_size = cell_size});
   ingest_population(sim, user_count, seed, dir_k8);
 
   services::Geolocator geo(sim.partition().plane(), {}, Rng(seed + 5));
@@ -238,8 +201,8 @@ RunResult measure(std::size_t user_count, std::uint64_t seed) {
         break;
     }
   }
-  const double serial_secs = seconds_since(serial_start);
-  r.queries_per_sec = static_cast<double>(kQueries) / serial_secs;
+  const double serial_rate =
+      static_cast<double>(kQueries) / bench::seconds_since(serial_start);
 
   // Per-kind serial latency percentiles over a deterministic sample
   // (clocked separately so timer overhead never inflates the throughput
@@ -251,29 +214,24 @@ RunResult measure(std::size_t user_count, std::uint64_t seed) {
     switch (q.kind) {
       case mobility::Query::Kind::kLocate:
         (void)dir.locate(q.user);
-        locate_lat.record_seconds(seconds_since(t0));
+        locate_lat.record_seconds(bench::seconds_since(t0));
         break;
       case mobility::Query::Kind::kRange:
         (void)dir.range(q.rect);
-        range_lat.record_seconds(seconds_since(t0));
+        range_lat.record_seconds(bench::seconds_since(t0));
         break;
       case mobility::Query::Kind::kNearest:
         (void)dir.k_nearest(q.point, q.k);
-        knn_lat.record_seconds(seconds_since(t0));
+        knn_lat.record_seconds(bench::seconds_since(t0));
         break;
     }
   }
-  r.locate_p50_us = locate_lat.percentile_micros(50);
-  r.locate_p99_us = locate_lat.percentile_micros(99);
-  r.range_p50_us = range_lat.percentile_micros(50);
-  r.range_p99_us = range_lat.percentile_micros(99);
-  r.knn_p50_us = knn_lat.percentile_micros(50);
-  r.knn_p99_us = knn_lat.percentile_micros(99);
 
   // --- batched engine, 1 thread ---------------------------------------
   mobility::QueryEngine batched(dir, {.threads = 1});
   metrics::LatencyHistogram batched_lat;
   std::vector<std::byte> batched_bytes;
+  double batched_rate = 0.0;
   {
     std::vector<mobility::QueryResult> all;
     all.reserve(kQueries);
@@ -282,19 +240,17 @@ RunResult measure(std::size_t user_count, std::uint64_t seed) {
       const std::size_t n = std::min(kBatchSize, queries.size() - lo);
       const auto t0 = std::chrono::steady_clock::now();
       auto part = batched.run(std::span(queries).subspan(lo, n));
-      batched_lat.record_seconds(seconds_since(t0) /
+      batched_lat.record_seconds(bench::seconds_since(t0) /
                                  static_cast<double>(n));
       for (auto& res : part) all.push_back(std::move(res));
     }
-    const double secs = seconds_since(start);
-    r.queries_per_sec_batched = static_cast<double>(kQueries) / secs;
-    r.records_returned = batched.counters().records_returned;
-    if (r.records_returned != serial_records) fail("records_returned total");
+    batched_rate = static_cast<double>(kQueries) / bench::seconds_since(start);
+    if (batched.counters().records_returned != serial_records) {
+      bench::fail("records_returned total");
+    }
     cross_check(dir, queries, all);
     batched_bytes = result_bytes(all);
   }
-  r.batched_p50_us = batched_lat.percentile_micros(50);
-  r.batched_p99_us = batched_lat.percentile_micros(99);
 
   // --- parallel engine thread sweep, pinned-snapshot hot path ----------
   // One publish up front; every engine in the sweep then acquires the
@@ -302,7 +258,10 @@ RunResult measure(std::size_t user_count, std::uint64_t seed) {
   // the concurrent-reader deployment measured at each thread count.
   // Every entry must reproduce the batched engine's bytes exactly.
   (void)dir.publish_snapshot();
-  for (const std::size_t t : kThreadSweep) {
+  double parallel_rate = 0.0;
+  std::size_t parallel_threads = 0;
+  std::vector<bench::CurveEntry> curve;
+  for (const std::size_t t : bench::kSweep) {
     mobility::QueryEngine engine(dir, {.threads = t});
     std::vector<mobility::QueryResult> all;
     all.reserve(kQueries);
@@ -312,15 +271,15 @@ RunResult measure(std::size_t user_count, std::uint64_t seed) {
       auto part = engine.run_pinned(std::span(queries).subspan(lo, n));
       for (auto& res : part) all.push_back(std::move(res));
     }
-    const double secs = seconds_since(start);
-    if (result_bytes(all) != batched_bytes) fail("thread-count invariance");
-    CurvePoint pt;
-    pt.threads = engine.thread_count();
-    pt.queries_per_sec = static_cast<double>(kQueries) / secs;
-    r.curve.push_back(pt);
-    if (t == kHeadlineThreads) {
-      r.queries_per_sec_parallel = pt.queries_per_sec;
-      r.threads = pt.threads;
+    const double rate =
+        static_cast<double>(kQueries) / bench::seconds_since(start);
+    if (result_bytes(all) != batched_bytes) {
+      bench::fail("thread-count invariance");
+    }
+    curve.push_back({engine.thread_count(), {{kQueriesPerSec, rate, 0}}});
+    if (t == bench::kHeadline) {
+      parallel_rate = rate;
+      parallel_threads = engine.thread_count();
     }
   }
 
@@ -334,107 +293,43 @@ RunResult measure(std::size_t user_count, std::uint64_t seed) {
       auto part = k8_engine.run(std::span(queries).subspan(lo, n));
       for (auto& res : part) all.push_back(std::move(res));
     }
-    if (result_bytes(all) != batched_bytes) fail("shard-count invariance");
+    if (result_bytes(all) != batched_bytes) {
+      bench::fail("shard-count invariance");
+    }
   }
 
-  r.speedup_batched = r.queries_per_sec_batched / r.queries_per_sec;
-  return r;
+  report.add({{"users", user_count},
+              kQueryCount,
+              {kQueriesPerSec, serial_rate, 0},
+              {"queries_per_sec_batched", batched_rate, 0},
+              {"queries_per_sec_parallel", parallel_rate, 0},
+              {"threads", parallel_threads},
+              {"speedup_batched", batched_rate / serial_rate, 2},
+              {"records_returned", serial_records},
+              {"locate_p50_us", locate_lat.percentile_micros(50), 2},
+              {"locate_p99_us", locate_lat.percentile_micros(99), 2},
+              {"range_p50_us", range_lat.percentile_micros(50), 2},
+              {"range_p99_us", range_lat.percentile_micros(99), 2},
+              {"knn_p50_us", knn_lat.percentile_micros(50), 2},
+              {"knn_p99_us", knn_lat.percentile_micros(99), 2},
+              {"batched_p50_us", batched_lat.percentile_micros(50), 2},
+              {"batched_p99_us", batched_lat.percentile_micros(99), 2}},
+             std::move(curve));
 }
 
 }  // namespace
 
 int main() {
-  const std::vector<std::size_t> populations =
-      bench::pick_populations({10'000, 30'000, 100'000});
-  const std::size_t host_cores =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-
-  std::printf("Queries: %zu-node engine grid, %zu mixed locate/range/kNN "
-              "queries per point (k=%zu, host cores: %zu)\n",
-              kNodes, kQueries, kNearestK, host_cores);
-  auto csv = bench::csv_for("queries");
-  if (csv) {
-    csv->header({"users", "queries", "queries_per_sec",
-                 "queries_per_sec_batched", "queries_per_sec_parallel",
-                 "threads", "speedup_batched", "records_returned",
-                 "locate_p50_us", "locate_p99_us", "range_p50_us",
-                 "range_p99_us", "knn_p50_us", "knn_p99_us",
-                 "batched_p50_us", "batched_p99_us"});
+  bench::Report report(
+      "queries",
+      "Queries: engine grid, one mixed locate/range/kNN query list per "
+      "point",
+      {{"nodes", kNodes},
+       kQueryCount,
+       {"host_cores", bench::host_cores()}});
+  for (const std::size_t users :
+       bench::pick_populations({10'000, 30'000, 100'000})) {
+    measure(report, users, 4242);
   }
-
-  std::vector<RunResult> results;
-  std::printf("%9s %12s %13s %13s %14s %8s %8s %14s\n", "users", "queries",
-              "serial/sec", "batched/sec", "parallel/sec", "threads",
-              "speedup", "records");
-  for (const std::size_t users : populations) {
-    const RunResult r = measure(users, 4242);
-    results.push_back(r);
-    std::printf("%9zu %12zu %13.0f %13.0f %14.0f %8zu %7.2fx %14llu\n",
-                r.users, r.queries, r.queries_per_sec,
-                r.queries_per_sec_batched, r.queries_per_sec_parallel,
-                r.threads, r.speedup_batched,
-                static_cast<unsigned long long>(r.records_returned));
-    std::printf("          serial   locate p50/p99 %.1f/%.1fus   "
-                "range %.1f/%.1fus   knn %.1f/%.1fus\n",
-                r.locate_p50_us, r.locate_p99_us, r.range_p50_us,
-                r.range_p99_us, r.knn_p50_us, r.knn_p99_us);
-    std::printf("          batched  per-query p50/p99 %.2f/%.2fus "
-                "(amortized over %zu-query batches)\n",
-                r.batched_p50_us, r.batched_p99_us, kBatchSize);
-    for (const CurvePoint& pt : r.curve) {
-      std::printf("          threads=%-3zu %14.0f queries/sec\n", pt.threads,
-                  pt.queries_per_sec);
-    }
-    if (csv) {
-      csv->row(r.users, r.queries, r.queries_per_sec,
-               r.queries_per_sec_batched, r.queries_per_sec_parallel,
-               r.threads, r.speedup_batched, r.records_returned,
-               r.locate_p50_us, r.locate_p99_us, r.range_p50_us,
-               r.range_p99_us, r.knn_p50_us, r.knn_p99_us, r.batched_p50_us,
-               r.batched_p99_us);
-    }
-  }
-  std::printf("consistency violations: 0\n");
-
-  if (const char* path = std::getenv("GEOGRID_JSON_OUT")) {
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path);
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"queries\",\n"
-                    "  \"nodes\": %zu,\n  \"queries\": %zu,\n"
-                    "  \"host_cores\": %zu,\n"
-                    "  \"points\": [\n",
-                 kNodes, kQueries, host_cores);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const RunResult& r = results[i];
-      std::fprintf(
-          f,
-          "    {\"users\": %zu, \"queries\": %zu, "
-          "\"queries_per_sec\": %.0f, \"queries_per_sec_batched\": %.0f, "
-          "\"queries_per_sec_parallel\": %.0f, \"threads\": %zu, "
-          "\"speedup_batched\": %.2f, \"records_returned\": %llu, "
-          "\"locate_p50_us\": %.2f, \"locate_p99_us\": %.2f, "
-          "\"range_p50_us\": %.2f, \"range_p99_us\": %.2f, "
-          "\"knn_p50_us\": %.2f, \"knn_p99_us\": %.2f, "
-          "\"batched_p50_us\": %.2f, \"batched_p99_us\": %.2f,\n"
-          "     \"thread_curve\": [",
-          r.users, r.queries, r.queries_per_sec, r.queries_per_sec_batched,
-          r.queries_per_sec_parallel, r.threads, r.speedup_batched,
-          static_cast<unsigned long long>(r.records_returned),
-          r.locate_p50_us, r.locate_p99_us, r.range_p50_us, r.range_p99_us,
-          r.knn_p50_us, r.knn_p99_us, r.batched_p50_us, r.batched_p99_us);
-      for (std::size_t c = 0; c < r.curve.size(); ++c) {
-        std::fprintf(f, "%s{\"threads\": %zu, \"queries_per_sec\": %.0f}",
-                     c == 0 ? "" : ", ", r.curve[c].threads,
-                     r.curve[c].queries_per_sec);
-      }
-      std::fprintf(f, "]}%s\n", i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("baseline written to %s\n", path);
-  }
-  return 0;
+  return report.finish();
 }

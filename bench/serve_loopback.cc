@@ -41,8 +41,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <span>
 #include <string>
@@ -76,33 +74,6 @@ constexpr double kLocateFraction = 0.60;  ///< query mix; 30% range, 10% kNN
 constexpr double kRangeQueryFraction = 0.30;
 constexpr std::uint32_t kNearestK = 8;
 
-struct RunResult {
-  std::size_t users = 0;
-  std::size_t subs = 0;
-  std::size_t epochs = 0;
-  std::uint64_t queries = 0;        ///< mixed wire queries over all epochs
-  std::uint64_t notifications = 0;  ///< Notify frames pushed and verified
-  double updates_per_sec = 0.0;     ///< acked wire ingest, parallel clients
-  double subs_per_sec = 0.0;        ///< synchronous subscribe round trips
-  double queries_per_sec = 0.0;     ///< batched wire queries, round trip
-  double mean_ingest_batch = 0.0;   ///< records per server-side flush
-  double p99_update_us = 0.0;
-  double p99_locate_us = 0.0;
-  double p99_range_us = 0.0;
-  double p99_nearest_us = 0.0;
-};
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-void fail(const char* what) {
-  std::fprintf(stderr, "divergence abort: %s\n", what);
-  std::exit(1);
-}
-
 std::vector<std::byte> result_bytes(
     std::span<const mobility::QueryResult> results) {
   net::Writer w;
@@ -116,9 +87,9 @@ std::vector<std::byte> directory_bytes(const mobility::ShardedDirectory& dir) {
   return std::move(w).take();
 }
 
-RunResult measure(std::size_t user_count, std::size_t sub_count,
-                  std::size_t epochs, std::size_t queries_per_epoch,
-                  std::uint64_t seed) {
+void measure(bench::Report& report, std::size_t user_count,
+             std::size_t sub_count, std::size_t epochs,
+             std::size_t queries_per_epoch, std::uint64_t seed) {
   core::SimulationOptions opt;
   opt.mode = core::GridMode::kDualPeer;
   opt.node_count = kNodes;
@@ -126,21 +97,18 @@ RunResult measure(std::size_t user_count, std::size_t sub_count,
   core::GridSimulation sim(opt);
   const Rect plane = sim.partition().plane();
 
-  RunResult r;
-  r.users = user_count;
-  r.subs = sub_count;
-  r.epochs = epochs;
-
   const double cell_size = std::clamp(
       std::sqrt(4096.0 * 16.0 / static_cast<double>(user_count)), 0.25, 2.0);
 
   // The served stack: the headline engine configuration behind the wire.
-  mobility::ShardedDirectory dir(
-      sim.partition(),
-      {.shards = 8, .cell_size = cell_size, .track_deltas = true});
-  mobility::QueryEngine queries(dir, {.threads = 8});
+  mobility::ShardedDirectory dir(sim.partition(),
+                                 {.shards = bench::kHeadline,
+                                  .cell_size = cell_size,
+                                  .track_deltas = true});
+  mobility::QueryEngine queries(dir, {.threads = bench::kHeadline});
   pubsub::SubscriptionIndex subs(plane);
-  pubsub::NotificationEngine notify(dir, subs, {.threads = 8});
+  pubsub::NotificationEngine notify(dir, subs,
+                                    {.threads = bench::kHeadline});
 
   // The determinism reference: same workload, in-process, K=1, serial.
   mobility::ShardedDirectory ref_dir(
@@ -211,12 +179,12 @@ RunResult measure(std::size_t user_count, std::size_t sub_count,
     }
     for (std::thread& t : threads) t.join();
   }
-  const double ingest_secs = seconds_since(t_ingest);
-  r.updates_per_sec = static_cast<double>(user_count) / ingest_secs;
+  const double ingest_secs = bench::seconds_since(t_ingest);
+  const double updates_rate = static_cast<double>(user_count) / ingest_secs;
 
   ref_dir.apply_updates(initial);
   if (!ref_notify.drain().empty()) {
-    fail("bootstrap drain emitted against an empty index");
+    bench::fail("bootstrap drain emitted against an empty index");
   }
 
   // --- Subscription phase: the standing mix over one connection. ---
@@ -260,7 +228,8 @@ RunResult measure(std::size_t user_count, std::size_t sub_count,
     }
     ref_subs.refresh();
   }
-  r.subs_per_sec = static_cast<double>(sub_count) / seconds_since(t_subs);
+  const double subs_rate =
+      static_cast<double>(sub_count) / bench::seconds_since(t_subs);
 
   // --- Epoch loop: movers report, Notifys push, query batches run. ---
   serve::Client querier(serve::Client::Options{.port = server.port()});
@@ -269,6 +238,8 @@ RunResult measure(std::size_t user_count, std::size_t sub_count,
   std::vector<mobility::LocationRecord> batch;
   std::vector<mobility::Query> qbatch;
   double query_secs = 0.0;
+  std::uint64_t query_count = 0;
+  std::uint64_t notifications = 0;
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     batch.clear();
     for (std::size_t i = 0; i < user_count; ++i) {
@@ -284,7 +255,7 @@ RunResult measure(std::size_t user_count, std::size_t sub_count,
     }
     if (batch.empty()) continue;
     if (batch.size() >= sopt.ingest_flush_records) {
-      fail("epoch batch crossed the size watermark (epoch would split)");
+      bench::fail("epoch batch crossed the size watermark (epoch would split)");
     }
     mover.update_batch(batch, /*wait_acks=*/false);
     (void)mover.locate(batch.front().user);  // fence: one flush, one drain
@@ -300,11 +271,11 @@ RunResult measure(std::size_t user_count, std::size_t sub_count,
     }
     const auto t_wait = std::chrono::steady_clock::now();
     while (subscriber.poll_notifications(10) < ref_drain.size() &&
-           seconds_since(t_wait) < 10.0) {
+           bench::seconds_since(t_wait) < 10.0) {
     }
     const std::vector<net::Notify> got = subscriber.take_notifications();
     if (got.size() != ref_drain.size()) {
-      fail("notification count diverged from the serial reference");
+      bench::fail("notification count diverged from the serial reference");
     }
     std::vector<std::byte> have;
     for (const net::Notify& n : got) {
@@ -312,9 +283,9 @@ RunResult measure(std::size_t user_count, std::size_t sub_count,
       have.insert(have.end(), one.begin(), one.end());
     }
     if (have != want) {
-      fail("notification stream diverged from the serial reference");
+      bench::fail("notification stream diverged from the serial reference");
     }
-    r.notifications += got.size();
+    notifications += got.size();
 
     // Mixed query batch: one wire round trip, compared as one serialized
     // result stream against the in-process reference engine.
@@ -339,40 +310,46 @@ RunResult measure(std::size_t user_count, std::size_t sub_count,
     const auto t_q = std::chrono::steady_clock::now();
     const std::vector<mobility::QueryResult> wire_results =
         querier.query_batch(qbatch);
-    query_secs += seconds_since(t_q);
+    query_secs += bench::seconds_since(t_q);
     const std::vector<mobility::QueryResult> ref_results =
         ref_queries.run(qbatch);
     if (result_bytes(wire_results) != result_bytes(ref_results)) {
-      fail("query result stream diverged from the serial reference");
+      bench::fail("query result stream diverged from the serial reference");
     }
-    r.queries += qbatch.size();
+    query_count += qbatch.size();
   }
-  r.queries_per_sec = static_cast<double>(r.queries) / query_secs;
 
   const serve::Server::Counters c = server.counters();
-  if (c.malformed_frames != 0) fail("server counted malformed frames");
-  if (c.slow_consumer_closes != 0) fail("server closed a slow consumer");
-  r.mean_ingest_batch =
-      c.ingest_flushes == 0
-          ? 0.0
-          : static_cast<double>(c.updates_in) /
-                static_cast<double>(c.ingest_flushes);
-  r.p99_update_us =
-      server.latency(net::MsgType::kLocationUpdate).percentile_micros(99);
-  r.p99_locate_us =
-      server.latency(net::MsgType::kLocateRequest).percentile_micros(99);
-  r.p99_range_us =
-      server.latency(net::MsgType::kLocationQuery).percentile_micros(99);
-  r.p99_nearest_us =
-      server.latency(net::MsgType::kNearestRequest).percentile_micros(99);
-
+  if (c.malformed_frames != 0) bench::fail("server counted malformed frames");
+  if (c.slow_consumer_closes != 0) bench::fail("server closed a slow consumer");
   // Stop first: the join is the synchronisation point that makes reading
   // the served directory from this thread well-defined.
   server.stop();
   if (directory_bytes(dir) != directory_bytes(ref_dir)) {
-    fail("final directory image diverged (K=8 wire vs K=1 in-process)");
+    bench::fail("final directory image diverged (K=8 wire vs K=1 in-process)");
   }
-  return r;
+  const auto p99_us = [&server](net::MsgType type) {
+    return server.latency(type).percentile_micros(99);
+  };
+  report.add({{"users", user_count},
+              {"subs", sub_count},
+              {"epochs", epochs},
+              {"queries", query_count},
+              {"notifications", notifications},
+              {"updates_per_sec", updates_rate, 0},
+              {"subs_per_sec", subs_rate, 0},
+              {"queries_per_sec",
+               static_cast<double>(query_count) / query_secs, 0},
+              {"mean_ingest_batch",
+               c.ingest_flushes == 0
+                   ? 0.0
+                   : static_cast<double>(c.updates_in) /
+                         static_cast<double>(c.ingest_flushes),
+               0},
+              {"p99_update_us", p99_us(net::MsgType::kLocationUpdate), 2},
+              {"p99_locate_us", p99_us(net::MsgType::kLocateRequest), 2},
+              {"p99_range_us", p99_us(net::MsgType::kLocationQuery), 2},
+              {"p99_nearest_us", p99_us(net::MsgType::kNearestRequest), 2}});
 }
 
 }  // namespace
@@ -381,83 +358,18 @@ int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   const std::size_t epochs = smoke ? 5 : 10;
   const std::size_t queries_per_epoch = smoke ? 512 : 2048;
-  const std::size_t host_cores =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-
-  std::printf(
-      "Serve loopback: %zu-node engine grid behind a real TCP edge, "
-      "%zu updater clients, %zu standing subscriptions, %.0f%% of the "
-      "population moves per epoch, %zu epochs (host cores: %zu)\n",
-      kNodes, kUpdaterClients, kSubscriptions, kMoveFraction * 100.0, epochs,
-      host_cores);
-  auto csv = bench::csv_for("serve_loopback");
-  if (csv) {
-    csv->header({"users", "subs", "epochs", "queries", "notifications",
-                 "updates_per_sec", "subs_per_sec", "queries_per_sec",
-                 "mean_ingest_batch", "p99_update_us", "p99_locate_us",
-                 "p99_range_us", "p99_nearest_us"});
+  bench::Report report(
+      "serve",
+      "Serve loopback: engine grid behind a real TCP edge, updater "
+      "clients plus one subscriber, mover and querier connection",
+      {{"nodes", kNodes},
+       {"move_fraction", kMoveFraction, 3},
+       {"updater_clients", kUpdaterClients},
+       {"host_cores", bench::host_cores()}});
+  for (const std::size_t users :
+       smoke ? std::vector<std::size_t>{10'000}
+             : bench::pick_populations({10'000, 100'000})) {
+    measure(report, users, kSubscriptions, epochs, queries_per_epoch, 4242);
   }
-
-  std::vector<RunResult> results;
-  std::printf("%9s %7s %12s %12s %13s %10s %10s %11s\n", "users", "subs",
-              "updates/sec", "queries/sec", "notifications", "p99 upd", "p99 loc",
-              "mean batch");
-  const std::vector<std::size_t> populations =
-      smoke ? std::vector<std::size_t>{10'000}
-            : bench::pick_populations({10'000, 100'000});
-  for (const std::size_t users : populations) {
-    const RunResult r =
-        measure(users, kSubscriptions, epochs, queries_per_epoch, 4242);
-    results.push_back(r);
-    std::printf("%9zu %7zu %12.0f %12.0f %13llu %8.0fus %8.0fus %11.0f\n",
-                r.users, r.subs, r.updates_per_sec, r.queries_per_sec,
-                static_cast<unsigned long long>(r.notifications),
-                r.p99_update_us, r.p99_locate_us, r.mean_ingest_batch);
-    std::printf("          subscribe %.0f/sec, p99 range/kNN %.0f/%.0fus\n",
-                r.subs_per_sec, r.p99_range_us, r.p99_nearest_us);
-    if (csv) {
-      csv->row(r.users, r.subs, r.epochs, r.queries, r.notifications,
-               r.updates_per_sec, r.subs_per_sec, r.queries_per_sec,
-               r.mean_ingest_batch, r.p99_update_us, r.p99_locate_us,
-               r.p99_range_us, r.p99_nearest_us);
-    }
-  }
-  std::printf(
-      "divergence aborts: 0 (notification, query, and directory streams "
-      "byte-identical to the in-process serial reference)\n");
-
-  if (const char* path = std::getenv("GEOGRID_JSON_OUT")) {
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path);
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n  \"bench\": \"serve\",\n  \"nodes\": %zu,\n"
-                 "  \"move_fraction\": %.3f,\n  \"updater_clients\": %zu,\n"
-                 "  \"host_cores\": %zu,\n  \"points\": [\n",
-                 kNodes, kMoveFraction, kUpdaterClients, host_cores);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const RunResult& r = results[i];
-      std::fprintf(
-          f,
-          "    {\"users\": %zu, \"subs\": %zu, \"epochs\": %zu, "
-          "\"queries\": %llu, \"notifications\": %llu,\n"
-          "     \"updates_per_sec\": %.0f, \"subs_per_sec\": %.0f, "
-          "\"queries_per_sec\": %.0f, \"mean_ingest_batch\": %.0f,\n"
-          "     \"p99_update_us\": %.2f, \"p99_locate_us\": %.2f, "
-          "\"p99_range_us\": %.2f, \"p99_nearest_us\": %.2f}%s\n",
-          r.users, r.subs, r.epochs,
-          static_cast<unsigned long long>(r.queries),
-          static_cast<unsigned long long>(r.notifications),
-          r.updates_per_sec, r.subs_per_sec, r.queries_per_sec,
-          r.mean_ingest_batch, r.p99_update_us, r.p99_locate_us,
-          r.p99_range_us, r.p99_nearest_us,
-          i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("baseline written to %s\n", path);
-  }
-  return 0;
+  return report.finish();
 }

@@ -29,6 +29,11 @@ class CsvWriter {
     write_fields(names.begin(), names.end());
   }
 
+  /// Writes one row of already-rendered fields.
+  void fields(const std::vector<std::string>& values) {
+    write_fields(values.begin(), values.end());
+  }
+
   /// Writes one row; accepts any streamable field types.
   template <typename... Fields>
   void row(const Fields&... fields) {

@@ -85,7 +85,8 @@ struct Rect {
   }
 
   /// Cover test with tolerance for the plane's own west/south border, so the
-  /// root region covers points lying exactly on the plane boundary.
+  /// root region covers points lying exactly on the plane boundary.  Every
+  /// point covers() accepts is accepted here too.
   bool covers_inclusive(const Point& o) const noexcept {
     return x - kGeoEps <= o.x && o.x <= right() + kGeoEps &&
            y - kGeoEps <= o.y && o.y <= top() + kGeoEps;

@@ -412,7 +412,7 @@ void GeoGridNode::handle_join_grant(const net::JoinGrant& m) {
 
 OwnedRegion* GeoGridNode::covering_region(const Point& p) {
   for (auto& [rid, region] : owned_) {
-    if (region.rect.covers(p) || region.rect.covers_inclusive(p)) {
+    if (region.rect.covers_inclusive(p)) {
       return &region;
     }
   }
@@ -657,8 +657,7 @@ void GeoGridNode::handle_publish(const net::Publish& p) {
   prune_expired_subscriptions(*covering);
   for (const auto& stored : covering->subscriptions) {
     const net::Subscribe& sub = stored.sub;
-    const bool in_area = sub.area.covers(p.location) ||
-                         sub.area.covers_inclusive(p.location);
+    const bool in_area = sub.area.covers_inclusive(p.location);
     const bool topic_ok = sub.filter.empty() || sub.filter == p.topic;
     if (in_area && topic_ok) {
       network_.send(self_.id, sub.subscriber.id,
@@ -718,8 +717,7 @@ void GeoGridNode::handle_location_update(const net::LocationUpdate& m) {
   // Boundary crossing: the record moved here with the update; evict the
   // stale copy from the old owning region (routed toward the previous
   // position, so splits/merges/fail-overs en route cannot strand it).
-  if (m.prev_location && !(region.rect.covers(*m.prev_location) ||
-                           region.rect.covers_inclusive(*m.prev_location))) {
+  if (m.prev_location && !region.rect.covers_inclusive(*m.prev_location)) {
     ++counters_.user_handoffs;
     route_or_handle(net::make_routed(*m.prev_location,
                                      net::UserHandoff{m.user, m.seq,
@@ -735,13 +733,11 @@ void GeoGridNode::notify_presence(OwnedRegion& region,
   for (const auto& stored : region.subscriptions) {
     const net::Subscribe& sub = stored.sub;
     if (!sub.filter.empty() && sub.filter != kPresenceTopic) continue;
-    const bool now_inside = sub.area.covers(m.location) ||
-                            sub.area.covers_inclusive(m.location);
+    const bool now_inside = sub.area.covers_inclusive(m.location);
     if (!now_inside) continue;
     // Duplicate suppression: a user wandering *inside* the subscribed area
     // already fired when it entered; only the crossing notifies.
-    if (m.prev_location && (sub.area.covers(*m.prev_location) ||
-                            sub.area.covers_inclusive(*m.prev_location))) {
+    if (m.prev_location && sub.area.covers_inclusive(*m.prev_location)) {
       continue;
     }
     net::Notify n;

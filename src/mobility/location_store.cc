@@ -146,10 +146,8 @@ std::vector<LocationRecord> LocationStore::range(const Rect& rect) const {
 void LocationStore::range_into(const Rect& rect,
                                std::vector<LocationRecord>& out) const {
   if (users_.empty()) return;
-  // The accept test is `covers(p) || covers_inclusive(p)`.  covers() is a
-  // strict subset of covers_inclusive() (strict west/south vs eps-relaxed
-  // everywhere), so the disjunction collapses to the single closed band
-  // below — which is exactly the branch-free test the SIMD filter computes.
+  // The accept test is covers_inclusive(p): the closed band below, which is
+  // exactly the branch-free test the SIMD filter computes.
   const double x_lo = rect.x - kGeoEps;
   const double x_hi = rect.right() + kGeoEps;
   const double y_lo = rect.y - kGeoEps;
@@ -217,17 +215,12 @@ std::vector<LocationRecord> LocationStore::k_nearest(const Point& p,
   };
   // Expanding ring of cells around p.  After collecting k candidates the
   // search may stop once the ring's nearest possible point is farther than
-  // the current kth-best distance.
+  // the current kth-best distance; it always stops once the rings have
+  // found every materialized cell (cells_ holds no empty bucket).
   const std::int32_t pcx = cell_coord(p.x);
   const std::int32_t pcy = cell_coord(p.y);
-  // Worst-case ring radius: enough to sweep every materialized cell.
-  std::int32_t max_ring = 0;
-  cells_.for_each([&](std::uint64_t key, const std::vector<std::uint32_t>&) {
-    const auto cx = static_cast<std::int32_t>(key >> 32);
-    const auto cy = static_cast<std::int32_t>(key & 0xffffffffu);
-    max_ring = std::max({max_ring, std::abs(cx - pcx), std::abs(cy - pcy)});
-  });
-  for (std::int32_t ring = 0; ring <= max_ring; ++ring) {
+  std::size_t cells_found = 0;
+  for (std::int32_t ring = 0; cells_found < cells_.size(); ++ring) {
     if (best.size() >= k) {
       // Cells in this ring are at least (ring - 1) * cell_size away.
       const double ring_min = (ring - 1) * cell_size_;
@@ -240,6 +233,7 @@ std::vector<LocationRecord> LocationStore::k_nearest(const Point& p,
         }
         const auto* bucket = cells_.find(pack(cx, cy));
         if (bucket == nullptr) continue;
+        ++cells_found;
         for (const std::uint32_t slot : *bucket) {
           const Scored cand{distance(position_at(slot), p), slot};
           if (best.size() >= k && !scored_after(cand, best.back())) continue;

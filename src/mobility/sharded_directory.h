@@ -127,8 +127,7 @@ class ShardedDirectory {
     std::uint64_t snapshots_reclaimed = 0;  ///< retired snapshots freed
   };
 
-  /// What one apply_update did (single-record convenience mirror of
-  /// LocationDirectory::ApplyResult).
+  /// What one apply_update did.
   struct ApplyResult {
     RegionId region = kInvalidRegion;  ///< region holding the user's record
     bool applied = false;

@@ -91,8 +91,7 @@ RegionId Partition::split(RegionId id, NodeId other_primary) {
   const auto [low, high] = r.rect.split(axis);
   // The old primary keeps the half covering its own coordinate so the
   // geographic node-to-region mapping survives the split.
-  const bool owner_keeps_low = low.covers(owner_coord) ||
-                               low.covers_inclusive(owner_coord);
+  const bool owner_keeps_low = low.covers_inclusive(owner_coord);
   return split_explicit(id, other_primary, /*give_high=*/owner_keeps_low);
 }
 

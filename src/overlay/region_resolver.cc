@@ -48,7 +48,7 @@ RegionId RegionResolver::resolve(const Point& p, RegionId hint,
                                  bool* fast) const {
   if (hint.valid()) {
     if (const Rect* r = rects_.find(hint)) {
-      if (r->covers(p) || r->covers_inclusive(p)) {
+      if (r->covers_inclusive(p)) {
         // Same answer Partition::locate(p, hint) would give — greedy
         // descent stops immediately when the start region covers the
         // target — minus the partition's hash-map traffic.

@@ -24,7 +24,7 @@ RouteResult route_greedy(const Partition& partition, RegionId from,
   while (!stack.empty()) {
     const RegionId current = stack.back();
     const Region& r = partition.region(current);
-    if (r.rect.covers(target) || r.rect.covers_inclusive(target)) {
+    if (r.rect.covers_inclusive(target)) {
       result.reached = true;
       result.executor = current;
       return result;

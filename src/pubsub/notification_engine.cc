@@ -36,9 +36,7 @@ NotificationEngine::NotificationEngine(mobility::ShardedDirectory& directory,
       subs_(subs),
       options_(options),
       pool_(options.threads),
-      tasks_(pool_.task_count()) {
-  if (options_.timing_sample_every == 0) options_.timing_sample_every = 1;
-}
+      tasks_(pool_.task_count()) {}
 
 std::vector<Notification> NotificationEngine::drain() {
   subs_.refresh();
@@ -133,7 +131,6 @@ void NotificationEngine::run_chunk(std::span<const UserId> delta,
   if (prev != nullptr) {
     prev->locate_many(chunk, state.locate_scratch, state.prev_recs);
   }
-  const std::size_t sample = options_.timing_sample_every;
   for (std::size_t k = 0; k < chunk.size(); ++k) {
     const mobility::LocationRecord* cur_rec =
         state.cur_recs[k].has_value() ? &*state.cur_recs[k] : nullptr;
@@ -143,7 +140,7 @@ void NotificationEngine::run_chunk(std::span<const UserId> delta,
             : nullptr;
     // Sampled timing on the global delta index: every Nth candidate pays
     // the two clock reads, the rest run clock-free.
-    if ((lo + k) % sample == 0) {
+    if ((lo + k) % kTimingSampleEvery == 0) {
       const double t0 = now_micros();
       match_user(chunk[k], cur_rec, prev_rec, out, state, c);
       state.hist.record_micros(now_micros() - t0);

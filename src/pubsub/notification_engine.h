@@ -32,7 +32,7 @@
 // CoverMatch triples feed the enter/leave/move merge directly — the loop
 // never dereferences the subscription slot array per notification.
 // Per-user match timing is sampled (every Nth candidate,
-// Options::timing_sample_every) so the steady_clock reads that feed
+// kTimingSampleEvery) so the steady_clock reads that feed
 // match_latency() cost the workload a bounded fraction instead of two
 // clock calls per user.  All per-task working state (output staging,
 // probe scratch, bulk-locate buffers, tallies) persists across drains.
@@ -104,13 +104,13 @@ class NotificationEngine {
     /// consumed (single-consumer deployments; turn off when several
     /// engines drain one directory).
     bool trim_consumed = true;
-    /// Record per-user match latency for every Nth candidate user (1 =
-    /// every user).  Sampling keeps the two steady_clock reads per
-    /// measured user from charging clock overhead to the workload —
-    /// match_p50/p99 describe matching, not timing.  Never affects the
-    /// emitted notifications.
-    std::size_t timing_sample_every = 32;
   };
+
+  /// match_latency() times every Nth candidate user.  Sampling keeps the
+  /// two steady_clock reads per measured user from charging clock overhead
+  /// to the workload — match_p50/p99 describe matching, not timing.  Never
+  /// affects the emitted notifications.
+  static constexpr std::size_t kTimingSampleEvery = 32;
 
   struct Counters {
     std::uint64_t drains = 0;
@@ -155,9 +155,9 @@ class NotificationEngine {
   std::size_t thread_count() const noexcept { return pool_.task_count(); }
   const Counters& counters() const noexcept { return counters_; }
 
-  /// Per-user match latency, sampled every Options::timing_sample_every
-  /// candidates, across all drains (merged from the per-task histograms
-  /// after each drain).
+  /// Per-user match latency, sampled every kTimingSampleEvery candidates,
+  /// across all drains (merged from the per-task histograms after each
+  /// drain).
   const metrics::LatencyHistogram& match_latency() const noexcept {
     return match_hist_;
   }

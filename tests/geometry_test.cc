@@ -159,11 +159,28 @@ TEST(RectProperty, RecursiveSplitTilesPlane) {
   for (const Rect& t : tiles) area += t.area();
   EXPECT_NEAR(area, 64.0 * 64.0, 1e-9);
 
+  // covers() implies covers_inclusive(), which lets every cover test in the
+  // tree use covers_inclusive() alone.
+  const auto covers_implies_inclusive = [&tiles](const Point& p) {
+    for (const Rect& t : tiles) {
+      if (t.covers(p)) {
+        EXPECT_TRUE(t.covers_inclusive(p)) << "point " << p.x << ',' << p.y;
+      }
+    }
+  };
+  for (const Rect& t : tiles) {
+    for (const Point& corner : {Point{t.x, t.y}, Point{t.right(), t.y},
+                                Point{t.x, t.top()},
+                                Point{t.right(), t.top()}}) {
+      covers_implies_inclusive(corner);
+    }
+  }
   for (int i = 0; i < 500; ++i) {
     const Point p{rng.uniform(1e-9, 64.0), rng.uniform(1e-9, 64.0)};
     int covered = 0;
     for (const Rect& t : tiles) covered += t.covers(p) ? 1 : 0;
     EXPECT_EQ(covered, 1) << "point " << p.x << ',' << p.y;
+    covers_implies_inclusive(p);
   }
 }
 

@@ -103,19 +103,41 @@ TEST(LocationStore, KNearestMatchesBruteForce) {
     all.push_back(r);
     EXPECT_TRUE(store.ingest(r));
   }
-  const Point q{rng.uniform(0.0, 64.0), rng.uniform(0.0, 64.0)};
-  auto expected = all;
-  std::sort(expected.begin(), expected.end(),
-            [&q](const LocationRecord& a, const LocationRecord& b) {
-              const double da = distance(a.position, q);
-              const double db = distance(b.position, q);
-              if (da != db) return da < db;
-              return a.user < b.user;
-            });
-  const auto got = store.k_nearest(q, 17);
-  ASSERT_EQ(got.size(), 17u);
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].user, expected[i].user) << "rank " << i;
+  // The store's answer must equal the first k of a full sort by distance,
+  // ties broken by user id.
+  const auto check = [&store, &all](const Point& q, std::size_t k) {
+    auto expected = all;
+    std::sort(expected.begin(), expected.end(),
+              [&q](const LocationRecord& a, const LocationRecord& b) {
+                const double da = distance(a.position, q);
+                const double db = distance(b.position, q);
+                if (da != db) return da < db;
+                return a.user < b.user;
+              });
+    expected.resize(std::min(k, expected.size()));
+    const auto got = store.k_nearest(q, k);
+    ASSERT_EQ(got.size(), expected.size()) << "k " << k;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].user, expected[i].user) << "rank " << i << " k " << k;
+    }
+  };
+  const Point inside{rng.uniform(0.0, 64.0), rng.uniform(0.0, 64.0)};
+  const Point far_away{150.0, -90.0};  // dozens of empty rings out
+  for (const Point& q : {inside, far_away}) {
+    check(q, 17);
+    check(q, all.size() + 50);  // k larger than the store
+  }
+  // Moves that empty every cell of the west half, so those cells leave the
+  // index while the rest of the store stays put.
+  for (auto& r : all) {
+    if (r.position.x >= 32.0) continue;
+    r.position.x += 32.0;
+    ++r.seq;
+    EXPECT_TRUE(store.ingest(r));
+  }
+  for (const Point& q : {inside, far_away, Point{8.0, 8.0}}) {
+    check(q, 17);
+    check(q, all.size() + 50);
   }
 }
 

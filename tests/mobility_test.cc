@@ -1,5 +1,4 @@
-// Mobile-user motion models and the engine-mode location directory.
-#include "mobility/directory.h"
+// Mobile-user motion models.
 #include "mobility/motion.h"
 
 #include <gtest/gtest.h>
@@ -14,16 +13,12 @@ namespace {
 
 constexpr Rect kPlane{0.0, 0.0, 64.0, 64.0};
 
-bool inside_plane(const Point& p) {
-  return kPlane.covers(p) || kPlane.covers_inclusive(p);
-}
-
 TEST(UserPopulation, SpawnsCountUsersWithSequentialIds) {
   UserPopulation pop(25, {}, nullptr, Rng(1));
   ASSERT_EQ(pop.users().size(), 25u);
   for (std::size_t i = 0; i < 25; ++i) {
     EXPECT_EQ(pop.users()[i].id, UserId{static_cast<std::uint32_t>(i + 1)});
-    EXPECT_TRUE(inside_plane(pop.users()[i].position));
+    EXPECT_TRUE(kPlane.covers_inclusive(pop.users()[i].position));
     EXPECT_EQ(pop.users()[i].next_seq, 1u);
   }
 }
@@ -55,7 +50,7 @@ TEST(UserPopulation, MovementRespectsSpeedBoundAndPlane) {
     pop.step(1.0, now);
     for (std::size_t i = 0; i < pop.users().size(); ++i) {
       const MobileUser& u = pop.users()[i];
-      EXPECT_TRUE(inside_plane(u.position));
+      EXPECT_TRUE(kPlane.covers_inclusive(u.position));
       // One step of dt=1 covers at most max_speed miles (plus float fuzz).
       EXPECT_LE(distance(before[i], u.position), opt.max_speed + 1e-9);
       before[i] = u.position;
@@ -90,113 +85,6 @@ TEST(UserPopulation, HotspotAttractionConcentratesUsers) {
     return sum / static_cast<double>(pop.users().size());
   };
   EXPECT_LT(mean_nearest(attracted), mean_nearest(uniform) * 0.5);
-}
-
-// --- LocationDirectory over a partition ------------------------------------
-
-struct DirectoryFixture {
-  overlay::Partition partition{kPlane};
-  DirectoryFixture() {
-    // Four quadrant regions via two split rounds.
-    const NodeId a = partition.add_node({NodeId{1}, Point{10, 10}, 10.0});
-    const NodeId b = partition.add_node({NodeId{2}, Point{10, 50}, 10.0});
-    const NodeId c = partition.add_node({NodeId{3}, Point{50, 10}, 10.0});
-    const NodeId d = partition.add_node({NodeId{4}, Point{50, 50}, 10.0});
-    const RegionId root = partition.create_root(a);
-    const RegionId north = partition.split(root, b);   // Y split
-    partition.split(root, c);                          // X split of south
-    partition.split(north, d);                         // X split of north
-    EXPECT_EQ(partition.region_count(), 4u);
-  }
-};
-
-LocationRecord rec(std::uint32_t user, double x, double y,
-                   std::uint64_t seq = 1) {
-  return LocationRecord{UserId{user}, Point{x, y}, seq, 0.0};
-}
-
-TEST(LocationDirectory, RoutesRecordsToCoveringRegion) {
-  DirectoryFixture fx;
-  LocationDirectory dir(fx.partition);
-  const auto res = dir.apply_update(rec(1, 10.0, 10.0));
-  EXPECT_TRUE(res.applied);
-  EXPECT_FALSE(res.handoff);
-  EXPECT_EQ(res.region, fx.partition.locate(Point{10.0, 10.0}));
-  ASSERT_TRUE(dir.locate(UserId{1}).has_value());
-  EXPECT_EQ(dir.region_of(UserId{1}), res.region);
-  EXPECT_EQ(dir.size(), 1u);
-  EXPECT_EQ(dir.counters().locate_hits, 1u);
-}
-
-TEST(LocationDirectory, BoundaryCrossingCountsAsHandoff) {
-  DirectoryFixture fx;
-  LocationDirectory dir(fx.partition);
-  EXPECT_TRUE(dir.apply_update(rec(1, 10.0, 10.0, 1)).applied);
-  const RegionId first = dir.region_of(UserId{1});
-  const auto crossed = dir.apply_update(rec(1, 50.0, 50.0, 2));
-  EXPECT_TRUE(crossed.applied);
-  EXPECT_TRUE(crossed.handoff);
-  EXPECT_NE(crossed.region, first);
-  EXPECT_EQ(dir.counters().handoffs, 1u);
-  // The old region's store no longer holds the user.
-  ASSERT_NE(dir.store(first), nullptr);
-  EXPECT_FALSE(dir.store(first)->locate(UserId{1}).has_value());
-  EXPECT_EQ(dir.size(), 1u);
-}
-
-TEST(LocationDirectory, StaleUpdatesAreCountedNotApplied) {
-  DirectoryFixture fx;
-  LocationDirectory dir(fx.partition);
-  EXPECT_TRUE(dir.apply_update(rec(1, 10.0, 10.0, 5)).applied);
-  EXPECT_FALSE(dir.apply_update(rec(1, 11.0, 11.0, 5)).applied);
-  EXPECT_FALSE(dir.apply_update(rec(1, 50.0, 50.0, 4)).applied);  // crossing
-  EXPECT_EQ(dir.counters().updates_stale, 2u);
-  EXPECT_EQ(dir.locate(UserId{1})->position, (Point{10.0, 10.0}));
-}
-
-TEST(LocationDirectory, RangeAndKNearestSpanRegions) {
-  DirectoryFixture fx;
-  LocationDirectory dir(fx.partition);
-  // A cluster straddling the center point of the plane: one user per
-  // quadrant, a stone's throw from (32, 32), plus one far away.
-  EXPECT_TRUE(dir.apply_update(rec(1, 31.0, 31.0)).applied);
-  EXPECT_TRUE(dir.apply_update(rec(2, 33.0, 31.0)).applied);
-  EXPECT_TRUE(dir.apply_update(rec(3, 31.0, 33.0)).applied);
-  EXPECT_TRUE(dir.apply_update(rec(4, 33.0, 33.0)).applied);
-  EXPECT_TRUE(dir.apply_update(rec(5, 60.0, 60.0)).applied);
-  EXPECT_EQ(dir.range(Rect{30.0, 30.0, 4.0, 4.0}).size(), 4u);
-  const auto nearest = dir.k_nearest(Point{32.0, 32.0}, 4);
-  ASSERT_EQ(nearest.size(), 4u);
-  for (const auto& r : nearest) EXPECT_NE(r.user, UserId{5});
-}
-
-TEST(LocationDirectory, FleetOfUsersStaysConsistentUnderMotion) {
-  DirectoryFixture fx;
-  LocationDirectory dir(fx.partition);
-  UserPopulation::Options opt;
-  opt.max_pause = 2.0;
-  UserPopulation pop(200, opt, nullptr, Rng(21));
-  double now = 0.0;
-  for (int step = 0; step < 50; ++step) {
-    now += 1.0;
-    pop.step(1.0, now);
-    for (auto& u : pop.users()) {
-      const auto res =
-          dir.apply_update({u.id, u.position, u.next_seq++, now});
-      EXPECT_TRUE(res.applied);
-    }
-  }
-  EXPECT_EQ(dir.size(), 200u);
-  EXPECT_EQ(dir.counters().updates_applied, 200u * 50u);
-  // Every user is locatable and stored in the region covering its position.
-  for (const auto& u : pop.users()) {
-    const auto stored = dir.locate(u.id);
-    ASSERT_TRUE(stored.has_value());
-    EXPECT_EQ(stored->position, u.position);
-    EXPECT_EQ(dir.region_of(u.id), fx.partition.locate(u.position));
-  }
-  // The whole-plane range scan sees exactly the population.
-  EXPECT_EQ(dir.range(kPlane).size(), 200u);
 }
 
 }  // namespace

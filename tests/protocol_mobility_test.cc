@@ -32,7 +32,7 @@ class ProtocolMobilityTest : public ::testing::Test {
     for (const auto& node : cluster_.nodes()) {
       if (node->departed()) continue;
       for (const auto& [rid, region] : node->owned()) {
-        if (!(region.rect.covers(p) || region.rect.covers_inclusive(p))) {
+        if (!region.rect.covers_inclusive(p)) {
           continue;
         }
         if (region.users.locate(user).has_value()) ++copies;
@@ -106,8 +106,7 @@ TEST_F(ProtocolMobilityTest, BoundaryCrossingIsLocatableAndEvictsOldOwner) {
   ASSERT_NE(owner, nullptr);
   const OwnedRegion* owning_region = nullptr;
   for (const auto& [rid, region] : owner->owned()) {
-    if (region.is_primary() &&
-        (region.rect.covers(after) || region.rect.covers_inclusive(after))) {
+    if (region.is_primary() && region.rect.covers_inclusive(after)) {
       owning_region = &region;
     }
   }
