@@ -26,7 +26,8 @@
 // must produce byte-identical serialized results, an engine over a K=8
 // directory must match the K=1 engine byte-for-byte, and a sampled
 // cross-check pins engine answers to the serial path (exact for locate
-// and kNN, multiset-equal for range).  Any mismatch aborts the bench.
+// and kNN; for range, the serial scan sorted by user id).  Any mismatch
+// aborts the bench.
 //
 // Latency is reported from metrics::LatencyHistogram: per-call
 // percentiles by query kind for the serial path, and per-query amortized
@@ -123,9 +124,9 @@ std::vector<std::byte> result_bytes(
   return std::move(w).take();
 }
 
-/// Sampled serial-vs-engine answer check: exact for locate and kNN,
-/// multiset-equal for range (the two paths merge regions in different
-/// orders, which is not part of either contract).
+/// Sampled serial-vs-engine answer check: exact for locate and kNN.  A
+/// range answer must equal the serial scan sorted by user id, the engine's
+/// canonical order.
 void cross_check(const mobility::ShardedDirectory& dir,
                  std::span<const mobility::Query> queries,
                  std::span<const mobility::QueryResult> results) {
@@ -145,8 +146,8 @@ void cross_check(const mobility::ShardedDirectory& dir,
         break;
       }
       case mobility::Query::Kind::kRange:
-        if (sorted(r.records) != sorted(dir.range(q.rect))) {
-          bench::fail("range multiset");
+        if (r.records != sorted(dir.range(q.rect))) {
+          bench::fail("range order");
         }
         break;
       case mobility::Query::Kind::kNearest: {

@@ -160,9 +160,9 @@ void LocationStore::range_into(const Rect& rect,
   // many grid cells as exist — there the bucket walk is pure pointer-chasing
   // overhead, and a linear SIMD sweep of the coordinate columns wins on
   // both instruction count and cache behaviour.  Path choice is a pure
-  // function of (store contents, rect): results and their serialization are
-  // identical either way because both paths apply the same band test and
-  // encode() re-sorts canonically.
+  // function of (store contents, rect).  The two paths emit the same hits
+  // in different orders; QueryEngine orders every range answer by user id,
+  // so the path never shows in a result or its serialization.
   const std::uint64_t span_cells =
       (static_cast<std::uint64_t>(cx1 - cx0) + 1) *
       (static_cast<std::uint64_t>(cy1 - cy0) + 1);

@@ -1,9 +1,52 @@
 #include "mobility/query_engine.h"
 
-#include <algorithm>
+#include <array>
 #include <limits>
+#include <utility>
 
 namespace geogrid::mobility {
+
+namespace {
+
+/// Orders range hits by user id.  Fills `keys` with (user id << 32 | hit
+/// index) and sorts them with a stable LSD radix sort over the id's four
+/// 8-bit digits, moving keys between `keys` and `spare`; returns the one
+/// that ends up holding the order.  One pass counts every digit, and a
+/// digit that every key shares is skipped, since its pass would move
+/// nothing: ids below 2^24 take at most three passes.  One snapshot holds one
+/// record per user, so ids are unique within an answer and the order is
+/// the one std::sort by user id gives.
+const std::vector<std::uint64_t>& order_by_user(
+    const std::vector<LocationRecord>& hits, std::vector<std::uint64_t>& keys,
+    std::vector<std::uint64_t>& spare) {
+  constexpr int kDigits = 4;
+  const std::size_t n = hits.size();
+  keys.resize(n);
+  spare.resize(n);
+  if (n == 0) return keys;
+  std::array<std::array<std::uint32_t, 256>, kDigits> counts{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t user = hits[i].user.value;
+    keys[i] = std::uint64_t{user} << 32 | i;
+    for (int d = 0; d < kDigits; ++d) ++counts[d][(user >> (8 * d)) & 0xff];
+  }
+  std::vector<std::uint64_t>* src = &keys;
+  std::vector<std::uint64_t>* dst = &spare;
+  for (int d = 0; d < kDigits; ++d) {
+    const int shift = 32 + 8 * d;
+    std::array<std::uint32_t, 256>& count = counts[d];
+    if (count[((*src)[0] >> shift) & 0xff] == n) continue;
+    std::uint32_t next = 0;
+    for (std::uint32_t& slot : count) next += std::exchange(slot, next);
+    for (const std::uint64_t key : *src) {
+      (*dst)[count[(key >> shift) & 0xff]++] = key;
+    }
+    std::swap(src, dst);
+  }
+  return *src;
+}
+
+}  // namespace
 
 void QueryResult::encode(net::Writer& w) const {
   w.varint(static_cast<std::uint64_t>(kind));
@@ -119,23 +162,28 @@ void QueryEngine::exec(const DirectorySnapshot& snapshot, const Query& q,
       ++c.ranges;
       // Grid-indexed discovery merged across regions, then canonically
       // ordered by user id: a store's internal order reflects insertion
-      // order, so without the sort two directories holding identical
+      // order, so without the ordering two directories holding identical
       // records would answer in different orders whenever their updates
       // arrived interleaved differently (e.g. concurrent wire clients vs
-      // a sequential replay).  Sorting makes the result a pure function
+      // a sequential replay).  Ordering makes the result a pure function
       // of directory *content* — identical bytes for every shard layout
-      // and every ingestion schedule.
+      // and every ingestion schedule.  Hits collect in task scratch, and
+      // one copy in id order fills an exactly sized answer.
+      std::vector<LocationRecord>& hits = scratch.hits;
+      hits.clear();
       resolver_.intersecting(q.rect, scratch.regions);
       for (const RegionId id : scratch.regions) {
         const LocationStore* st = snapshot.store(id);
         if (st == nullptr || st->empty()) continue;
         ++c.regions_scanned;
-        st->range_into(q.rect, out.records);
+        st->range_into(q.rect, hits);
       }
-      std::sort(out.records.begin(), out.records.end(),
-                [](const LocationRecord& a, const LocationRecord& b) {
-                  return a.user.value < b.user.value;
-                });
+      const std::vector<std::uint64_t>& order =
+          order_by_user(hits, scratch.keys, scratch.spare_keys);
+      out.records.reserve(hits.size());
+      for (const std::uint64_t key : order) {
+        out.records.push_back(hits[static_cast<std::uint32_t>(key)]);
+      }
       c.records_returned += out.records.size();
       return;
     }

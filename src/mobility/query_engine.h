@@ -26,8 +26,8 @@
 // each request is computed entirely by one task against frozen state, and
 // chunk boundaries are a pure function of (batch size, task count), so
 // results — down to serialized bytes — are identical for every shard count
-// and every thread count.  Range partials merge in ascending region-id
-// order; k-nearest is exact with ties broken on user id.
+// and every thread count.  Range answers are in user-id order; k-nearest
+// is exact with ties broken on user id.
 //
 // Geometry caveat: the resolver reflects the partition as of the last
 // applied batch.  Partition mutations (splits/merges) must be quiesced
@@ -160,11 +160,15 @@ class QueryEngine {
 
  private:
   /// Per-task working state, reused across every query of a task's chunk
-  /// so region discovery never allocates in steady state.
+  /// and across batches, so region discovery and range ordering never
+  /// allocate in steady state.
   struct Scratch {
     std::vector<RegionId> regions;
     overlay::RegionResolver::NearScratch near;
     std::vector<double> knn_dists;  ///< distances parallel to the kNN best
+    std::vector<LocationRecord> hits;  ///< one range answer, store order
+    std::vector<std::uint64_t> keys;   ///< (user << 32 | hit index)
+    std::vector<std::uint64_t> spare_keys;  ///< the radix sort's other half
   };
 
   /// Persistent per-task slab, one cacheline-aligned slot per pool task.

@@ -57,13 +57,27 @@ class CodecError : public std::runtime_error {
 };
 
 /// Appends primitive values to a byte buffer (little-endian).
+///
+/// Each write is one bounds check and one memcpy at a cursor.  The vector
+/// grows geometrically ahead of the cursor, so it holds spare bytes past
+/// the written ones; bytes() and take() trim it to exactly the written
+/// bytes.  Trimming a byte vector neither frees nor copies, and a write
+/// after bytes() grows it again in place.  So bytes() modifies the buffer
+/// although it is const: one Writer is never shared between threads.
 class Writer {
  public:
-  const std::vector<std::byte>& bytes() const noexcept { return buf_; }
-  std::vector<std::byte> take() && noexcept { return std::move(buf_); }
-  std::size_t size() const noexcept { return buf_.size(); }
+  const std::vector<std::byte>& bytes() const noexcept {
+    buf_.resize(size_);
+    return buf_;
+  }
+  std::vector<std::byte> take() && noexcept {
+    buf_.resize(size_);
+    size_ = 0;
+    return std::move(buf_);
+  }
+  std::size_t size() const noexcept { return size_; }
 
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
+  void u8(std::uint8_t v) { raw(&v, 1); }
   void u16(std::uint16_t v) { fixed(v); }
   void u32(std::uint32_t v) { fixed(v); }
   void u64(std::uint64_t v) { fixed(v); }
@@ -84,17 +98,23 @@ class Writer {
   /// Varint length, then the raw bytes.
   void blob(std::span<const std::byte> b) {
     varint(b.size());
-    raw(b.data(), b.size());
+    // An empty span may carry a null pointer, which memcpy must not see.
+    if (!b.empty()) raw(b.data(), b.size());
   }
   void string(std::string_view s) { blob(std::as_bytes(std::span(s))); }
 
  private:
   void raw(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::byte*>(data);
-    buf_.insert(buf_.end(), p, p + n);
+    if (size_ + n > buf_.size()) grow(n);
+    std::memcpy(buf_.data() + size_, data, n);
+    size_ += n;
   }
 
-  std::vector<std::byte> buf_;
+  /// Makes room for `n` more bytes, at least doubling the buffer.
+  void grow(std::size_t n);
+
+  mutable std::vector<std::byte> buf_;  ///< written bytes, then spare room
+  std::size_t size_ = 0;                ///< bytes written
 };
 
 /// Consumes primitive values from a byte span; throws CodecError when the

@@ -532,7 +532,7 @@ struct Server::Impl {
         reply.payload.assign(
             reinterpret_cast<const char*>(w.bytes().data()),
             w.bytes().size());
-        queue(c, net::Message{reply});
+        queue(c, net::Message{std::move(reply)});
       }
       delta.replies_out += 1;
       samples.emplace_back(p.req_type,

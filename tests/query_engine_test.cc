@@ -163,9 +163,10 @@ TEST(QueryEngine, ResultsInvariantAcrossShardAndThreadCounts) {
 }
 
 TEST(QueryEngine, AgreesWithSerialPerCallReadPath) {
-  // Locate answers match ShardedDirectory::locate; range answers hold the
-  // same record multiset as the serial full-region scan; kNN matches the
-  // serial path exactly (both are exact, with the same tie-break).
+  // Locate answers match ShardedDirectory::locate; range answers equal the
+  // serial full-region scan sorted by user id, as they come from the
+  // engine; kNN matches the serial path exactly (both are exact, with the
+  // same tie-break).
   QuadrantFixture fx;
   ShardedDirectory dir(fx.partition, {.shards = 4});
   for (const auto& batch : make_trace(300, 25, 5)) dir.apply_updates(batch);
@@ -195,7 +196,7 @@ TEST(QueryEngine, AgreesWithSerialPerCallReadPath) {
         break;
       }
       case Query::Kind::kRange:
-        EXPECT_EQ(sorted(r.records), sorted(dir.range(q.rect)));
+        EXPECT_EQ(r.records, sorted(dir.range(q.rect)));
         break;
       case Query::Kind::kNearest: {
         const auto expect = dir.k_nearest(q.point, q.k);
@@ -204,6 +205,81 @@ TEST(QueryEngine, AgreesWithSerialPerCallReadPath) {
           EXPECT_EQ(r.records[j], expect[j]);
         }
         break;
+      }
+    }
+  }
+}
+
+TEST(QueryEngine, RangeOrderHoldsInEveryIdByte) {
+  // Range answers are ordered by a radix pass per id byte.  These ids
+  // differ in every byte, so a pass that is dropped or wrongly skipped
+  // misorders some answer.  Each answer, as the engine returns it, must
+  // equal a brute-force filter of the population sorted by std::sort.
+  std::vector<std::uint32_t> ids = {1,       0xff,     0x100,     0xffff,
+                                    0x10000, 0xffffff, 0x1000000, 0xfffffffe};
+  const std::size_t specials = ids.size();
+  // Random ids one to four bytes wide: most answers mix keys that share
+  // their upper bytes with keys that do not.
+  Rng rng(41);
+  while (ids.size() < specials + 2000) {
+    const std::uint32_t id = static_cast<std::uint32_t>(rng.next()) >>
+                             (8 * rng.uniform_index(4));
+    if (id == 0 || id == kInvalidUser.value) continue;
+    if (std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
+  }
+  // The specials cluster in one small rect; everyone else but one user
+  // lands in [0, 56)^2, which leaves [57, 59]^2 empty and one user alone
+  // at (61, 61).
+  std::vector<LocationRecord> population;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    Point p{rng.uniform(0.0, 56.0), rng.uniform(0.0, 56.0)};
+    if (i < specials) p = Point{20.0 + 0.1 * i, 20.5 - 0.05 * i};
+    if (i + 1 == ids.size()) p = Point{61.0, 61.0};
+    population.push_back({UserId{ids[i]}, p, 1, 0.0});
+  }
+  rng.shuffle(population);
+
+  // Three region-spanning rects, the specials' cluster, the empty rect,
+  // the lone user, then small rects anywhere.
+  std::vector<Query> queries = {Query::range(Rect{0, 0, 64, 64}),
+                                Query::range(Rect{16, 16, 32, 32}),
+                                Query::range(Rect{28, 0, 8, 64}),
+                                Query::range(Rect{19.5, 19.5, 2, 2}),
+                                Query::range(Rect{57, 57, 2, 2}),
+                                Query::range(Rect{60.5, 60.5, 1, 1})};
+  for (int i = 0; i < 200; ++i) {
+    const double w = rng.uniform(0.5, 8.0);
+    const double h = rng.uniform(0.5, 8.0);
+    queries.push_back(Query::range(Rect{rng.uniform(0.0, 64.0 - w),
+                                        rng.uniform(0.0, 64.0 - h), w, h}));
+  }
+  std::vector<std::vector<LocationRecord>> expect;
+  for (const Query& q : queries) {
+    std::vector<LocationRecord> hits;
+    for (const LocationRecord& rec : population) {
+      if (q.rect.covers_inclusive(rec.position)) hits.push_back(rec);
+    }
+    std::sort(hits.begin(), hits.end(),
+              [](const LocationRecord& a, const LocationRecord& b) {
+                return a.user < b.user;
+              });
+    expect.push_back(std::move(hits));
+  }
+  ASSERT_EQ(expect[0].size(), population.size());
+  EXPECT_GE(expect[3].size(), specials);
+  EXPECT_TRUE(expect[4].empty());
+  EXPECT_EQ(expect[5].size(), 1u);
+
+  QuadrantFixture fx;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    ShardedDirectory dir(fx.partition, {.shards = shards});
+    dir.apply_updates(population);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      QueryEngine engine(dir, {.threads = threads});
+      const auto results = engine.run(queries);
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(results[i].records, expect[i])
+            << "K=" << shards << " T=" << threads << " query " << i;
       }
     }
   }
