@@ -30,6 +30,7 @@ bool Network::is_attached(NodeId id) const {
 }
 
 void Network::send(NodeId from, NodeId to, const net::Message& msg) {
+  if (on_send) on_send(from, to, msg);
   ++stats_.messages_sent;
   const auto type = net::message_type(msg);
   ++stats_.per_type[static_cast<std::size_t>(type)];

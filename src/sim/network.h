@@ -93,6 +93,11 @@ class Network {
   /// Self-sends are delivered through the loop like any other message.
   void send(NodeId from, NodeId to, const net::Message& msg);
 
+  /// Observer of every send, in send order, before it is delivered or
+  /// dropped.  Unset by default.
+  std::function<void(NodeId from, NodeId to, const net::Message& msg)>
+      on_send;
+
   const NetworkStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = NetworkStats{}; }
 

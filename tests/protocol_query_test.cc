@@ -1,6 +1,8 @@
 // Protocol-mode application layer: queries, dissemination, pub-sub.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/cluster.h"
 
 namespace geogrid::core {
@@ -115,6 +117,53 @@ TEST_F(ProtocolQueryTest, SubscriptionsReplicateToSecondary) {
     EXPECT_EQ(it->second.subscriptions.size(),
               primary_region->subscriptions.size());
   }
+}
+
+TEST_F(ProtocolQueryTest, UnsubscribeClearsEveryStoredCopy) {
+  const auto holds = [](const OwnedRegion& region, std::uint64_t sid) {
+    return std::any_of(
+        region.subscriptions.begin(), region.subscriptions.end(),
+        [sid](const StoredSubscription& s) { return s.sub.sub_id == sid; });
+  };
+  auto& subscriber = *cluster_.nodes()[1];
+  auto& publisher = *cluster_.nodes()[2];
+  std::size_t notifies = 0;
+  subscriber.on_notify = [&](const net::Notify&) { ++notifies; };
+
+  // A 20x20-mile area spans several regions of a 50-node grid.
+  const Rect area{20, 20, 20, 20};
+  const std::uint64_t sid = subscriber.subscribe(area, "parking", 500.0);
+  cluster_.run_for(5);
+
+  // One probe point per primary region that stored a copy: inside both the
+  // region and the area, so the publish routes to that region and matches.
+  std::vector<Point> probes;
+  for (const auto& node : cluster_.nodes()) {
+    for (const auto& [rid, region] : node->owned()) {
+      if (region.is_primary() && holds(region, sid)) {
+        probes.push_back(region.rect.intersection(area)->center());
+      }
+    }
+  }
+  ASSERT_GE(probes.size(), 2u) << "the area must be disseminated";
+  for (const Point& p : probes) publisher.publish(p, "parking", "before");
+  cluster_.run_for(5);
+  ASSERT_EQ(notifies, probes.size());
+
+  subscriber.unsubscribe(sid, area);
+  cluster_.run_for(5);  // past a peer-sync tick: replicas follow
+  for (const auto& node : cluster_.nodes()) {
+    for (const auto& [rid, region] : node->owned()) {
+      EXPECT_FALSE(holds(region, sid))
+          << "node " << node->info().id << " still holds the subscription in "
+          << (region.is_primary() ? "primary" : "secondary") << " seat "
+          << rid;
+    }
+  }
+  notifies = 0;
+  for (const Point& p : probes) publisher.publish(p, "parking", "after");
+  cluster_.run_for(5);
+  EXPECT_EQ(notifies, 0u);
 }
 
 TEST_F(ProtocolQueryTest, PublishWithNoSubscribersIsSilent) {

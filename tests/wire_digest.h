@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <iomanip>
 #include <ostream>
+#include <span>
 #include <vector>
 
 namespace geogrid::testutil {
@@ -27,13 +28,27 @@ struct WireDigest {
   }
 };
 
-inline WireDigest wire_digest(const std::vector<std::byte>& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const std::byte b : bytes) {
-    h ^= static_cast<std::uint64_t>(b);
-    h *= 0x100000001b3ull;
+/// Running digest of a byte stream fed in pieces.
+class WireHasher {
+ public:
+  void add(std::span<const std::byte> bytes) {
+    for (const std::byte b : bytes) {
+      h_ ^= static_cast<std::uint64_t>(b);
+      h_ *= 0x100000001b3ull;
+    }
+    size_ += bytes.size();
   }
-  return {bytes.size(), h};
+  WireDigest digest() const { return {size_, h_}; }
+
+ private:
+  std::size_t size_ = 0;
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+inline WireDigest wire_digest(const std::vector<std::byte>& bytes) {
+  WireHasher h;
+  h.add(bytes);
+  return h.digest();
 }
 
 }  // namespace geogrid::testutil
