@@ -162,14 +162,20 @@ int main() {
               static_cast<double>(stats.bytes_sent) / 1e6,
               static_cast<unsigned long long>(stats.messages_dropped));
 
-  std::uint64_t started = 0, completed = 0;
+  std::uint64_t started = 0, completed = 0, hop_limit = 0, no_route = 0;
   for (const auto& node : cluster.nodes()) {
     started += node->counters().adaptations_started;
     completed += node->counters().adaptations_completed;
+    hop_limit += node->counters().routes_dropped_hop_limit;
+    no_route += node->counters().routes_dropped_no_route;
   }
   std::printf("adaptations: %llu started, %llu completed over the wire\n",
               static_cast<unsigned long long>(started),
               static_cast<unsigned long long>(completed));
+  std::printf("routed messages dropped: %llu at the hop limit, %llu with no "
+              "route\n",
+              static_cast<unsigned long long>(hop_limit),
+              static_cast<unsigned long long>(no_route));
   std::printf("workload imbalance (stddev): %.5f -> %.5f\n",
               imbalance_before, imbalance_after);
   const auto errors = cluster.check_consistency();

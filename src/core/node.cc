@@ -5,8 +5,6 @@
 
 #include "common/logging.h"
 #include "dualpeer/join_policy.h"
-#include "loadbalance/snapshot_planner.h"
-#include "core/node_internal.h"
 #include "overlay/router.h"
 
 namespace geogrid::core {
@@ -15,25 +13,6 @@ using net::Message;
 using net::NodeInfo;
 using net::OwnerRole;
 using net::RegionSnapshot;
-
-namespace detail {
-
-std::string encode_app_state(const OwnedRegion& region) {
-  net::Writer w;
-  net::put(w, region.subscriptions);
-  region.users.encode(w);
-  const auto bytes = std::move(w).take();
-  return std::string(reinterpret_cast<const char*>(bytes.data()),
-                     bytes.size());
-}
-
-void decode_app_state(const std::string& blob, OwnedRegion& region) {
-  net::Reader r(reinterpret_cast<const std::byte*>(blob.data()), blob.size());
-  net::get(r, region.subscriptions);
-  region.users = mobility::LocationStore::decode(r);
-}
-
-}  // namespace detail
 
 GeoGridNode::GeoGridNode(sim::Network& network, NodeId bootstrap_address,
                          NodeInfo self, Config config, Rng rng)
@@ -71,12 +50,11 @@ void GeoGridNode::handle_entry_reply(const net::BootstrapEntryReply& m) {
 }
 
 void GeoGridNode::found_grid() {
-  OwnedRegion root;
-  root.id = RegionId{(self_.id.value << 12) | (next_local_region_++ & 0xfff)};
+  RegionSnapshot root;
+  root.region = fresh_region_id();
   root.rect = config_.plane;
-  root.split_depth = 0;
-  root.role = OwnerRole::kPrimary;
-  owned_[root.id] = std::move(root);
+  root.primary = self_;
+  take_seat(root, OwnerRole::kPrimary, {});
   joined_ = true;
   GEOGRID_DEBUG("node " << self_.id << " founded the grid");
 }
@@ -99,8 +77,7 @@ RegionSnapshot GeoGridNode::snapshot_of(const OwnedRegion& region) const {
     s.secondary = self_;
   }
   s.load = region.load;
-  s.workload_index =
-      s.primary.capacity > 0.0 ? s.load / s.primary.capacity : s.load;
+  s.workload_index = net::load_index(s.load, s.primary.capacity);
   return s;
 }
 
@@ -148,59 +125,68 @@ void GeoGridNode::handle_join_request(NodeId /*from*/,
   // Dual-peer: the joiner probes the covering region and its neighborhood.
   net::JoinProbeReply reply;
   reply.covering = snapshot_of(*covering);
-  reply.neighbors.reserve(covering->neighbors.size());
-  for (const auto& [rid, snap] : covering->neighbors) {
-    reply.neighbors.push_back(snap);
-  }
+  reply.neighbors = covering->neighbor_list();
   network_.send(self_.id, m.joiner.id, reply);
 }
 
 void GeoGridNode::basic_split_for(const NodeInfo& joiner, RegionId region_id) {
-  auto it = owned_.find(region_id);
-  assert(it != owned_.end());
-  OwnedRegion& region = it->second;
+  // The joiner founds the half we give away, whichever half it sits in.
+  split_region(owned_.at(region_id), joiner, nullptr,
+               [&](const RegionSnapshot& given,
+                   std::vector<RegionSnapshot> neighbors) {
+                 net::JoinGrant grant;
+                 grant.region_state = given;
+                 grant.role = OwnerRole::kPrimary;
+                 grant.neighbors = std::move(neighbors);
+                 network_.send(self_.id, joiner.id, grant);
+               });
+}
 
+void GeoGridNode::split_region(
+    OwnedRegion& region, NodeInfo taker,
+    const std::function<void(RegionSnapshot& given)>& place,
+    const std::function<void(const RegionSnapshot& given,
+                             std::vector<RegionSnapshot> neighbors)>&
+        hand_over) {
   const Axis axis = overlay::split_axis_for_depth(region.split_depth);
   const auto [low, high] = region.rect.split(axis);
-  const bool owner_in_low = low.covers_inclusive(self_.coord);
-  const bool joiner_in_low = low.covers_inclusive(joiner.coord);
-  const bool joiner_gets_high =
-      (owner_in_low != joiner_in_low) ? !joiner_in_low : owner_in_low;
+  const bool keep_low = low.covers_inclusive(self_.coord);
 
-  // Shrink our region; the joiner founds the other half.
   const std::map<RegionId, RegionSnapshot> old_neighbors = region.neighbors;
-  region.rect = joiner_gets_high ? low : high;
+  region.rect = keep_low ? low : high;
   region.split_depth += 1;
   region.load *= 0.5;  // refreshed by the next stats round
+  region.peer.reset();
 
-  RegionSnapshot fresh;
-  fresh.region =
-      RegionId{(self_.id.value << 12) | (next_local_region_++ & 0xfff)};
-  fresh.rect = joiner_gets_high ? high : low;
-  fresh.split_depth = region.split_depth;
-  fresh.primary = joiner;
-  fresh.load = region.load;
-  fresh.workload_index =
-      joiner.capacity > 0.0 ? fresh.load / joiner.capacity : fresh.load;
+  RegionSnapshot given;
+  given.region = fresh_region_id();
+  given.rect = keep_low ? high : low;
+  given.split_depth = region.split_depth;
+  given.primary = taker;
+  given.load = region.load;
+  given.workload_index = net::load_index(given.load, taker.capacity);
+  if (place) place(given);
 
   prune_neighbors(region);
-  region.neighbors[fresh.region] = fresh;
-
-  net::JoinGrant grant;
-  grant.region_state = fresh;
-  grant.role = OwnerRole::kPrimary;
+  region.neighbors[given.region] = given;
+  std::vector<RegionSnapshot> given_neighbors;
   for (const auto& [rid, snap] : old_neighbors) {
-    if (snap.rect.edge_adjacent(fresh.rect)) grant.neighbors.push_back(snap);
+    if (snap.rect.edge_adjacent(given.rect)) given_neighbors.push_back(snap);
   }
-  grant.neighbors.push_back(snapshot_of(region));
-  network_.send(self_.id, joiner.id, grant);
+  given_neighbors.push_back(snapshot_of(region));
+  hand_over(given, std::move(given_neighbors));
 
   // Tell the old neighborhood about both halves.
   const RegionSnapshot mine = snapshot_of(region);
   for (const auto& [rid, snap] : old_neighbors) {
     network_.send(self_.id, snap.primary.id, net::NeighborUpdate{mine});
-    network_.send(self_.id, snap.primary.id, net::NeighborUpdate{fresh});
+    network_.send(self_.id, snap.primary.id, net::NeighborUpdate{given});
   }
+}
+
+RegionId GeoGridNode::fresh_region_id() {
+  // Globally unique: the node id fills the high bits.
+  return RegionId{(self_.id.value << 12) | (next_local_region_++ & 0xfff)};
 }
 
 void GeoGridNode::handle_probe_reply(const net::JoinProbeReply& m) {
@@ -254,9 +240,7 @@ void GeoGridNode::handle_secondary_join(NodeId /*from*/,
   net::JoinGrant grant;
   grant.region_state = snapshot_of(region);
   grant.role = joiner_role;
-  for (const auto& [rid, snap] : region.neighbors) {
-    grant.neighbors.push_back(snap);
-  }
+  grant.neighbors = region.neighbor_list();
   network_.send(self_.id, m.joiner.id, grant);
   sync_peer(region);
   broadcast_neighbor_update(region);
@@ -277,133 +261,93 @@ void GeoGridNode::handle_split_join(NodeId /*from*/,
                         << " joiner " << m.joiner.id);
   const NodeInfo departing_secondary = *region.peer;
 
-  const Axis axis = overlay::split_axis_for_depth(region.split_depth);
-  const auto [low, high] = region.rect.split(axis);
-  const bool keep_low = low.covers_inclusive(self_.coord);
-  const Rect my_half = keep_low ? low : high;
-  const Rect other_half = keep_low ? high : low;
-
-  const std::map<RegionId, RegionSnapshot> old_neighbors = region.neighbors;
-  region.rect = my_half;
-  region.split_depth += 1;
-  region.load *= 0.5;
-  region.peer.reset();
-
-  // The old secondary founds the other half (half-full).
-  RegionSnapshot fresh;
-  fresh.region =
-      RegionId{(self_.id.value << 12) | (next_local_region_++ & 0xfff)};
-  fresh.rect = other_half;
-  fresh.split_depth = region.split_depth;
-  fresh.primary = departing_secondary;
-  fresh.load = region.load;
-  fresh.workload_index = fresh.primary.capacity > 0.0
-                             ? fresh.load / fresh.primary.capacity
-                             : fresh.load;
-
-  // The joiner fills the half whose owner has less available capacity.
-  const RegionSnapshot mine_snap_pre = snapshot_of(region);
-  const bool joiner_with_me =
-      dualpeer::pick_half_to_join(mine_snap_pre, fresh) == region.id;
-
+  // The old secondary founds the given half.  The joiner fills the half
+  // whose owner has less available capacity, as primary if it is stronger.
+  bool joiner_with_me = false;
   OwnerRole joiner_role = OwnerRole::kSecondary;
-  if (joiner_with_me) {
-    region.peer = m.joiner;
-    peer_last_heard_[m.region] = loop_.now();
-    if (dualpeer::joiner_takes_primary(m.joiner.capacity, self_.capacity)) {
-      region.role = OwnerRole::kSecondary;
-      joiner_role = OwnerRole::kPrimary;
-    }
-  } else {
-    if (dualpeer::joiner_takes_primary(m.joiner.capacity,
-                                       departing_secondary.capacity)) {
-      fresh.secondary = departing_secondary;
-      fresh.primary = m.joiner;
-      fresh.workload_index = m.joiner.capacity > 0.0
-                                 ? fresh.load / m.joiner.capacity
-                                 : fresh.load;
+  const auto place_joiner = [&](RegionSnapshot& given) {
+    joiner_with_me =
+        dualpeer::pick_half_to_join(snapshot_of(region), given) == region.id;
+    if (joiner_with_me) {
+      region.peer = m.joiner;
+      peer_last_heard_[m.region] = loop_.now();
+      if (dualpeer::joiner_takes_primary(m.joiner.capacity, self_.capacity)) {
+        region.role = OwnerRole::kSecondary;
+        joiner_role = OwnerRole::kPrimary;
+      }
+    } else if (dualpeer::joiner_takes_primary(m.joiner.capacity,
+                                              departing_secondary.capacity)) {
+      given.secondary = departing_secondary;
+      given.primary = m.joiner;
+      given.workload_index = net::load_index(given.load, m.joiner.capacity);
       joiner_role = OwnerRole::kPrimary;
     } else {
-      fresh.secondary = m.joiner;
+      given.secondary = m.joiner;
     }
-  }
-
-  prune_neighbors(region);
-  region.neighbors[fresh.region] = fresh;
-
-  std::vector<RegionSnapshot> fresh_neighbors;
-  for (const auto& [rid, snap] : old_neighbors) {
-    if (snap.rect.edge_adjacent(fresh.rect)) fresh_neighbors.push_back(snap);
-  }
-  fresh_neighbors.push_back(snapshot_of(region));
-
-  // Hand the new half to the old secondary (dropping its seat here).
-  net::RegionHandoff handoff;
-  handoff.region_state = fresh;
-  handoff.neighbors = fresh_neighbors;
-  handoff.vacate = region.id;
-  network_.send(self_.id, departing_secondary.id, handoff);
-
-  // Grant the joiner its seat.
-  net::JoinGrant grant;
-  grant.role = joiner_role;
-  if (joiner_with_me) {
-    grant.region_state = snapshot_of(region);
-    for (const auto& [rid, snap] : region.neighbors) {
-      grant.neighbors.push_back(snap);
+  };
+  const auto hand_over = [&](const RegionSnapshot& given,
+                             std::vector<RegionSnapshot> neighbors) {
+    // Hand the new half to the old secondary (dropping its seat here).
+    net::RegionHandoff handoff;
+    handoff.region_state = given;
+    handoff.neighbors = neighbors;
+    handoff.vacate = region.id;
+    network_.send(self_.id, departing_secondary.id, handoff);
+    // Grant the joiner its seat.
+    net::JoinGrant grant;
+    grant.role = joiner_role;
+    if (joiner_with_me) {
+      grant.region_state = snapshot_of(region);
+      grant.neighbors = region.neighbor_list();
+    } else {
+      grant.region_state = given;
+      grant.neighbors = std::move(neighbors);
     }
-  } else {
-    grant.region_state = fresh;
-    grant.neighbors = fresh_neighbors;
-  }
-  network_.send(self_.id, m.joiner.id, grant);
-
-  // Tell the old neighborhood about both halves.
-  const RegionSnapshot mine = snapshot_of(region);
-  for (const auto& [rid, snap] : old_neighbors) {
-    network_.send(self_.id, snap.primary.id, net::NeighborUpdate{mine});
-    network_.send(self_.id, snap.primary.id, net::NeighborUpdate{fresh});
-  }
+    network_.send(self_.id, m.joiner.id, grant);
+  };
+  split_region(region, departing_secondary, place_joiner, hand_over);
   if (joiner_with_me) sync_peer(region);
 }
 
 void GeoGridNode::handle_join_grant(const net::JoinGrant& m) {
   if (joined_) return;
-  OwnedRegion region;
-  region.id = m.region_state.region;
-  region.rect = m.region_state.rect;
-  region.split_depth = m.region_state.split_depth;
-  region.role = m.role;
-  region.load = m.region_state.load;
-  if (m.role == OwnerRole::kPrimary) {
-    region.peer = m.region_state.secondary;
-    // The grantor may have recorded us as primary already.
-    if (region.peer && region.peer->id == self_.id) {
-      region.peer = m.region_state.primary.id == self_.id
-                        ? std::nullopt
-                        : std::optional<NodeInfo>(m.region_state.primary);
-    }
-  } else {
-    region.peer = m.region_state.primary;
-  }
-  for (const auto& snap : m.neighbors) {
-    if (snap.region != region.id &&
-        snap.rect.edge_adjacent(region.rect)) {
-      region.neighbors[snap.region] = snap;
-    }
-  }
-  const RegionId rid = region.id;
-  GEOGRID_DEBUG("node " << self_.id << " grant-adopts " << rid << " rect "
-                        << region.rect.to_string() << " role "
+  OwnedRegion& region = take_seat(m.region_state, m.role, m.neighbors);
+  GEOGRID_DEBUG("node " << self_.id << " grant-adopts " << region.id
+                        << " rect " << region.rect.to_string() << " role "
                         << (region.role == OwnerRole::kPrimary ? "P" : "S"));
-  owned_[rid] = std::move(region);
   joined_ = true;
-  peer_last_heard_[rid] = loop_.now();
-  for (const auto& [nid, nb] : owned_[rid].neighbors) {
+  peer_last_heard_[region.id] = loop_.now();
+  for (const auto& [nid, nb] : region.neighbors) {
     neighbor_last_heard_[nid] = loop_.now();
   }
-  broadcast_neighbor_update(owned_[rid]);
-  GEOGRID_DEBUG("node " << self_.id << " joined region " << rid);
+  broadcast_neighbor_update(region);
+  GEOGRID_DEBUG("node " << self_.id << " joined region " << region.id);
+}
+
+OwnedRegion& GeoGridNode::take_seat(
+    const RegionSnapshot& snap, OwnerRole role,
+    std::span<const RegionSnapshot> candidates) {
+  OwnedRegion seat;
+  seat.id = snap.region;
+  seat.rect = snap.rect;
+  seat.split_depth = snap.split_depth;
+  seat.role = role;
+  seat.peer = role == OwnerRole::kPrimary ? snap.secondary
+                                          : std::optional(snap.primary);
+  seat.load = snap.load;
+  for (const RegionSnapshot& c : candidates) {
+    if (c.region != seat.id && c.rect.edge_adjacent(seat.rect)) {
+      seat.neighbors[c.region] = c;
+    }
+  }
+  OwnedRegion& slot = owned_[seat.id];
+  slot = std::move(seat);
+  return slot;
+}
+
+void GeoGridNode::drop_seat(RegionId region) {
+  owned_.erase(region);
+  peer_last_heard_.erase(region);
 }
 
 // ---------------------------------------------------------------------------
@@ -421,13 +365,14 @@ OwnedRegion* GeoGridNode::covering_region(const Point& p) {
 
 void GeoGridNode::route_or_handle(net::Routed env) {
   if (covering_region(env.target) != nullptr) {
-    handle_routed_payload(self_.id, env);
+    dispatch(self_.id, net::unwrap_routed(env), env.hops);
     return;
   }
   if (env.hops >= config_.max_route_hops) {
     // Expected for probes aimed at orphaned space (nobody covers the
     // target, so the envelope bounces between the nearest regions until
     // the hop budget runs out) — by design, not an error.
+    ++counters_.routes_dropped_hop_limit;
     GEOGRID_DEBUG("dropping routed message at hop limit, target "
                   << env.target);
     return;
@@ -446,6 +391,7 @@ void GeoGridNode::route_or_handle(net::Routed env) {
   if (!next) {
     // Transient while neighbor tables converge after a join or repair; the
     // sender retries (joins re-bootstrap, queries are re-issued by apps).
+    ++counters_.routes_dropped_no_route;
     GEOGRID_DEBUG("node " << self_.id << " has no route toward "
                           << env.target);
     return;
@@ -460,32 +406,6 @@ void GeoGridNode::route_or_handle(net::Routed env) {
   env.hops += 1;
   ++counters_.routed_forwarded;
   network_.send(self_.id, chosen->primary.id, std::move(env));
-}
-
-void GeoGridNode::handle_routed_payload(NodeId from, const net::Routed& env) {
-  const Message inner = net::unwrap_routed(env);
-  if (const auto* join = std::get_if<net::JoinRequest>(&inner)) {
-    handle_join_request(from, *join);
-  } else if (const auto* query = std::get_if<net::LocationQuery>(&inner)) {
-    handle_location_query(*query);
-  } else if (const auto* sub = std::get_if<net::Subscribe>(&inner)) {
-    handle_subscribe(*sub);
-  } else if (const auto* unsub = std::get_if<net::Unsubscribe>(&inner)) {
-    handle_unsubscribe(*unsub);
-  } else if (const auto* pub = std::get_if<net::Publish>(&inner)) {
-    handle_publish(*pub);
-  } else if (const auto* probe = std::get_if<net::OwnerProbe>(&inner)) {
-    handle_owner_probe(*probe);
-  } else if (const auto* update = std::get_if<net::LocationUpdate>(&inner)) {
-    handle_location_update(*update);
-  } else if (const auto* evict = std::get_if<net::UserHandoff>(&inner)) {
-    handle_user_handoff(*evict);
-  } else if (const auto* loc = std::get_if<net::LocateRequest>(&inner)) {
-    handle_locate_request(*loc, env.hops);
-  } else {
-    GEOGRID_WARN("unexpected routed payload "
-                 << net::message_name(net::message_type(inner)));
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -546,29 +466,37 @@ void GeoGridNode::execute_query(const net::LocationQuery& q,
   network_.send(self_.id, q.focal.id, result);
 }
 
-void GeoGridNode::handle_location_query(const net::LocationQuery& q) {
-  OwnedRegion* covering = covering_region(q.area.center());
+template <typename Request, typename TakesCopy, typename Act>
+std::size_t GeoGridNode::area_step(const Request& request,
+                                   TakesCopy takes_copy, Act act) {
+  OwnedRegion* covering = covering_region(request.area.center());
   if (covering == nullptr) {
-    // Disseminated copy for a region we own that overlaps the query area.
     for (auto& [rid, region] : owned_) {
-      if (region.is_primary() && region.rect.intersects(q.area)) {
-        execute_query(q, region);
-        return;
+      if (region.is_primary() && takes_copy(region)) {
+        act(region);
+        break;
       }
     }
-    return;
+    return 0;
   }
-  execute_query(q, *covering);
-  if (q.disseminated) return;
-  // Fan out to every neighbor region overlapping the query area.
-  net::LocationQuery fanned = q;
-  fanned.disseminated = true;
+  act(*covering);
+  if (request.disseminated) return 0;
+  Request copy = request;
+  copy.disseminated = true;
+  std::size_t sent = 0;
   for (const auto& [rid, snap] : covering->neighbors) {
-    if (snap.rect.intersects(q.area)) {
-      ++counters_.queries_disseminated;
-      network_.send(self_.id, snap.primary.id, fanned);
+    if (snap.rect.intersects(request.area)) {
+      network_.send(self_.id, snap.primary.id, copy);
+      ++sent;
     }
   }
+  return sent;
+}
+
+void GeoGridNode::handle_location_query(const net::LocationQuery& q) {
+  counters_.queries_disseminated += area_step(
+      q, [&](const OwnedRegion& r) { return r.rect.intersects(q.area); },
+      [&](OwnedRegion& r) { execute_query(q, r); });
 }
 
 void GeoGridNode::store_subscription(const net::Subscribe& s,
@@ -584,62 +512,31 @@ void GeoGridNode::store_subscription(const net::Subscribe& s,
 }
 
 void GeoGridNode::handle_subscribe(const net::Subscribe& s) {
-  OwnedRegion* covering = covering_region(s.area.center());
-  if (covering == nullptr) {
-    for (auto& [rid, region] : owned_) {
-      if (region.is_primary() && region.rect.intersects(s.area)) {
-        store_subscription(s, region);
-        return;
-      }
-    }
-    return;
-  }
-  store_subscription(s, *covering);
-  if (s.disseminated) return;
-  net::Subscribe fanned = s;
-  fanned.disseminated = true;
-  for (const auto& [rid, snap] : covering->neighbors) {
-    if (snap.rect.intersects(s.area)) {
-      network_.send(self_.id, snap.primary.id, fanned);
-    }
-  }
+  area_step(
+      s, [&](const OwnedRegion& r) { return r.rect.intersects(s.area); },
+      [&](OwnedRegion& r) { store_subscription(s, r); });
+}
+
+void GeoGridNode::drop_subscription(std::uint64_t sub_id,
+                                    OwnedRegion& region) {
+  const auto dropped = std::erase_if(
+      region.subscriptions,
+      [&](const StoredSubscription& s) { return s.sub.sub_id == sub_id; });
+  if (dropped == 0) return;
+  region.app_version += 1;
+  sync_peer(region);
 }
 
 void GeoGridNode::handle_unsubscribe(const net::Unsubscribe& u) {
-  // Mirror of handle_subscribe: drop the subscription from the covering
-  // region, then fan the cancellation out once to every neighbor region
-  // that may have stored a disseminated copy.
-  OwnedRegion* covering = covering_region(u.area.center());
-  if (covering == nullptr) {
-    for (auto& [rid, region] : owned_) {
-      if (!region.is_primary()) continue;
-      const auto dropped =
-          std::erase_if(region.subscriptions, [&](const StoredSubscription& s) {
-            return s.sub.sub_id == u.sub_id;
-          });
-      if (dropped > 0) {
-        region.app_version += 1;
-        sync_peer(region);
-        return;
-      }
-    }
-    return;
-  }
-  const auto dropped = std::erase_if(
-      covering->subscriptions,
-      [&](const StoredSubscription& s) { return s.sub.sub_id == u.sub_id; });
-  if (dropped > 0) {
-    covering->app_version += 1;
-    sync_peer(*covering);
-  }
-  if (u.disseminated) return;
-  net::Unsubscribe fanned = u;
-  fanned.disseminated = true;
-  for (const auto& [rid, snap] : covering->neighbors) {
-    if (snap.rect.intersects(u.area)) {
-      network_.send(self_.id, snap.primary.id, fanned);
-    }
-  }
+  // A region may have split since the subscription was stored, so a copy
+  // looks for the id rather than for overlap with the area.
+  const auto holds = [&](const OwnedRegion& r) {
+    return std::any_of(
+        r.subscriptions.begin(), r.subscriptions.end(),
+        [&](const StoredSubscription& s) { return s.sub.sub_id == u.sub_id; });
+  };
+  area_step(u, holds,
+            [&](OwnedRegion& r) { drop_subscription(u.sub_id, r); });
 }
 
 void GeoGridNode::prune_expired_subscriptions(OwnedRegion& region) {
@@ -790,7 +687,7 @@ double GeoGridNode::workload_index() const {
   for (const auto& [rid, region] : owned_) {
     if (region.is_primary()) load += region.load;
   }
-  return self_.capacity > 0.0 ? load / self_.capacity : load;
+  return net::load_index(load, self_.capacity);
 }
 
 }  // namespace geogrid::core

@@ -10,6 +10,19 @@
 // the simulated network.  A node knows only what messages told it: its own
 // regions, snapshots of their neighbors, and TTL-search replies.
 //
+// Each protocol step is written once, and every handler that takes it calls
+// the same member:
+//   * split_region: halve a region and give one half away (basic join,
+//     split-join, adaptation split);
+//   * take_seat: install a seat from a region snapshot (join grant, region
+//     handoff, orphan adoption, switch and merge handshakes);
+//   * area_step: act on the region covering an area's center and fan the
+//     request out one hop (queries, subscribes, unsubscribes);
+//   * dispatch: one visit over the message variant, for direct deliveries
+//     and for routed payloads that reached their covering region alike.
+// tests/protocol_pin_test.cc pins the traffic and final state of one seeded
+// scenario per grid mode, so a change to any of these steps shows there.
+//
 // The decision logic (join target selection, adaptation planning rules) is
 // shared with engine mode, so a protocol-mode network converges to the same
 // partitions the engine produces; integration tests pin the two together.
@@ -20,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -72,6 +86,14 @@ struct OwnedRegion {
     return role == net::OwnerRole::kPrimary;
   }
   bool full() const noexcept { return peer.has_value(); }
+
+  /// The neighbor table as a list, in region-id order.
+  std::vector<net::RegionSnapshot> neighbor_list() const {
+    std::vector<net::RegionSnapshot> list;
+    list.reserve(neighbors.size());
+    for (const auto& [rid, snap] : neighbors) list.push_back(snap);
+    return list;
+  }
 };
 
 /// Counters exposed for tests and examples.
@@ -94,6 +116,9 @@ struct NodeCounters {
   std::uint64_t locates_served = 0;
   std::uint64_t locate_replies_received = 0;
   std::uint64_t presence_notifies_sent = 0;
+  // Routed envelopes this node dropped instead of delivering or forwarding.
+  std::uint64_t routes_dropped_hop_limit = 0;  ///< hop budget exhausted
+  std::uint64_t routes_dropped_no_route = 0;   ///< no neighbor to forward to
 };
 
 class GeoGridNode : public sim::Process {
@@ -196,17 +221,51 @@ class GeoGridNode : public sim::Process {
   void handle_join_grant(const net::JoinGrant& m);
   void basic_split_for(const net::NodeInfo& joiner, RegionId region);
 
-  // Routing.
+  /// The split step.  Halves `region` (this node keeps the half covering
+  /// its own coordinate) and describes the other half under a fresh id with
+  /// `taker` as its primary.  `place` (optional) may then reseat either
+  /// half.  The given half is linked into the neighbor table, `hand_over`
+  /// sends it with its neighbor list, and the old neighborhood hears of
+  /// both halves.
+  void split_region(
+      OwnedRegion& region, net::NodeInfo taker,
+      const std::function<void(net::RegionSnapshot& given)>& place,
+      const std::function<void(const net::RegionSnapshot& given,
+                               std::vector<net::RegionSnapshot> neighbors)>&
+          hand_over);
+  RegionId fresh_region_id();
+
+  /// The seat-install step: seats this node in `role` in the region `snap`
+  /// describes (replacing any seat it held there), with the other seat's
+  /// owner from `snap` as peer and the `candidates` that border the region
+  /// as neighbors.  Liveness stamps are the caller's.
+  OwnedRegion& take_seat(const net::RegionSnapshot& snap, net::OwnerRole role,
+                         std::span<const net::RegionSnapshot> candidates);
+  /// Gives up a seat and its peer-liveness stamp.
+  void drop_seat(RegionId region);
+
+  // Routing and dispatch.
   void route_or_handle(net::Routed env);
   OwnedRegion* covering_region(const Point& p);
-  void handle_routed_payload(NodeId from, const net::Routed& env);
+  /// Handles `msg`, delivered directly (`hops` 0) or as the payload of a
+  /// routed envelope that reached its covering region after `hops` hops.
+  void dispatch(NodeId from, const net::Message& msg, std::uint16_t hops);
 
   // Application handlers.
+  /// The area step of a query, subscribe or unsubscribe.  `act` runs on the
+  /// region covering the area's center, and one copy goes to each neighbor
+  /// region of it that overlaps the area.  A node with no seat covering the
+  /// center got a copy: `act` runs on its first primary region that
+  /// `takes_copy` accepts.  Returns the number of copies sent.
+  template <typename Request, typename TakesCopy, typename Act>
+  std::size_t area_step(const Request& request, TakesCopy takes_copy,
+                        Act act);
   void execute_query(const net::LocationQuery& q, OwnedRegion& region);
   void handle_location_query(const net::LocationQuery& q);
   void handle_subscribe(const net::Subscribe& s);
   void store_subscription(const net::Subscribe& s, OwnedRegion& region);
   void handle_unsubscribe(const net::Unsubscribe& u);
+  void drop_subscription(std::uint64_t sub_id, OwnedRegion& region);
   void handle_publish(const net::Publish& p);
 
   // Mobile-user handlers.
@@ -233,7 +292,7 @@ class GeoGridNode : public sim::Process {
   void handle_leave_notice(NodeId from, const net::LeaveNotice& m);
   void handle_region_handoff(const net::RegionHandoff& m);
   void handle_owner_probe(const net::OwnerProbe& m);
-  void adopt_orphan(RegionId region, const net::RegionSnapshot& snap);
+  void adopt_orphan(const net::RegionSnapshot& snap);
 
   // Adaptation handshakes.
   void handle_steal_request(NodeId from, const net::StealSecondaryRequest& m);

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "core/node.h"
-#include "core/node_internal.h"
 #include "loadbalance/snapshot_planner.h"
 
 namespace geogrid::core {
@@ -17,6 +16,67 @@ using net::Message;
 using net::NodeInfo;
 using net::OwnerRole;
 using net::RegionSnapshot;
+
+namespace {
+
+/// Serializes a region's replicated application state (subscriptions and
+/// the mobile-user location store) for primary -> secondary replication.
+std::string encode_app_state(const OwnedRegion& region) {
+  net::Writer w;
+  net::put(w, region.subscriptions);
+  region.users.encode(w);
+  const auto bytes = std::move(w).take();
+  return std::string(reinterpret_cast<const char*>(bytes.data()),
+                     bytes.size());
+}
+
+/// Inverse of encode_app_state: installs the blob into `region`.
+void decode_app_state(const std::string& blob, OwnedRegion& region) {
+  net::Reader r(reinterpret_cast<const std::byte*>(blob.data()), blob.size());
+  net::get(r, region.subscriptions);
+  region.users = mobility::LocationStore::decode(r);
+}
+
+net::Heartbeat heartbeat_of(const OwnedRegion& region, double capacity) {
+  net::Heartbeat hb;
+  hb.region = region.id;
+  hb.load = region.load;
+  hb.available = std::max(0.0, capacity - region.load);
+  return hb;
+}
+
+/// The distinct primaries of the neighbor regions of every seat in `owned`,
+/// in first-seen order, leaving out `skip`.
+std::vector<NodeId> neighbor_primaries(
+    const std::map<RegionId, OwnedRegion>& owned, NodeId skip = NodeId{}) {
+  std::vector<NodeId> primaries;
+  for (const auto& [rid, region] : owned) {
+    for (const auto& [nid, snap] : region.neighbors) {
+      const NodeId primary = snap.primary.id;
+      if (primary != skip && std::find(primaries.begin(), primaries.end(),
+                                       primary) == primaries.end()) {
+        primaries.push_back(primary);
+      }
+    }
+  }
+  return primaries;
+}
+
+/// The neighbor-learning rule: `snap` enters the table of every other seat
+/// it borders and leaves the table of every seat it does not.
+void learn_neighbor(std::map<RegionId, OwnedRegion>& owned,
+                    const RegionSnapshot& snap) {
+  for (auto& [rid, region] : owned) {
+    if (rid == snap.region) continue;
+    if (snap.rect.edge_adjacent(region.rect)) {
+      region.neighbors[snap.region] = snap;
+    } else {
+      region.neighbors.erase(snap.region);
+    }
+  }
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Timers.
@@ -54,7 +114,7 @@ void GeoGridNode::sync_peer(OwnedRegion& region) {
   net::SyncState sync;
   sync.region = region.id;
   sync.version = region.app_version;
-  sync.payload = detail::encode_app_state(region);
+  sync.payload = encode_app_state(region);
   network_.send(self_.id, region.peer->id, sync);
 }
 
@@ -64,11 +124,8 @@ void GeoGridNode::tick_peer_sync() {
     // replica that fails over holds no lapsed subscriptions to fire from.
     prune_expired_subscriptions(region);
     if (!region.peer) continue;
-    net::Heartbeat hb;
-    hb.region = rid;
-    hb.load = region.load;
-    hb.available = std::max(0.0, self_.capacity - region.load);
-    network_.send(self_.id, region.peer->id, hb);
+    network_.send(self_.id, region.peer->id,
+                  heartbeat_of(region, self_.capacity));
     if (region.is_primary()) sync_peer(region);
   }
 }
@@ -76,10 +133,7 @@ void GeoGridNode::tick_peer_sync() {
 void GeoGridNode::tick_heartbeat() {
   for (auto& [rid, region] : owned_) {
     if (!region.is_primary()) continue;
-    net::Heartbeat hb;
-    hb.region = rid;
-    hb.load = region.load;
-    hb.available = std::max(0.0, self_.capacity - region.load);
+    const net::Heartbeat hb = heartbeat_of(region, self_.capacity);
     for (const auto& [nid, snap] : region.neighbors) {
       network_.send(self_.id, snap.primary.id, hb);
     }
@@ -93,16 +147,9 @@ void GeoGridNode::tick_stats() {
   }
   if (stats.regions.empty()) return;
   // One gossip message per distinct neighbor primary.
-  std::vector<NodeId> recipients;
-  for (const auto& [rid, region] : owned_) {
-    for (const auto& [nid, snap] : region.neighbors) {
-      if (std::find(recipients.begin(), recipients.end(),
-                    snap.primary.id) == recipients.end()) {
-        recipients.push_back(snap.primary.id);
-      }
-    }
+  for (NodeId to : neighbor_primaries(owned_)) {
+    network_.send(self_.id, to, stats);
   }
-  for (NodeId to : recipients) network_.send(self_.id, to, stats);
 }
 
 void GeoGridNode::tick_failure_check() {
@@ -181,45 +228,29 @@ void GeoGridNode::tick_failure_check() {
       region.neighbors.erase(nid);
       neighbor_last_heard_.erase(nid);
       if (!smallest || owned_.contains(nid)) continue;
-      adopt_orphan(nid, snap);
+      adopt_orphan(snap);
     }
   }
 }
 
-void GeoGridNode::adopt_orphan(RegionId region_id,
-                               const RegionSnapshot& snap) {
-  OwnedRegion adopted;
-  adopted.id = region_id;
-  adopted.rect = snap.rect;
-  adopted.split_depth = snap.split_depth;
-  adopted.role = OwnerRole::kPrimary;
-  adopted.load = snap.load;
-  for (const auto& [rid2, r2] : owned_) {
-    for (const auto& [oid, other] : r2.neighbors) {
-      if (oid != region_id && other.rect.edge_adjacent(snap.rect)) {
-        adopted.neighbors[oid] = other;
-      }
-    }
+void GeoGridNode::adopt_orphan(const RegionSnapshot& snap) {
+  // Any region we know of may border the orphan.
+  std::vector<RegionSnapshot> known;
+  for (const auto& [rid, region] : owned_) {
+    for (const auto& [nid, nb] : region.neighbors) known.push_back(nb);
   }
-  owned_[region_id] = std::move(adopted);
+  OwnedRegion& adopted = take_seat(snap, OwnerRole::kPrimary, known);
   ++counters_.takeovers;
-  broadcast_neighbor_update(owned_[region_id]);
+  broadcast_neighbor_update(adopted);
   // Flood the takeover a few hops wide: a rival caretaker whose view of
   // the orphan's neighborhood is disjoint from ours still hears of the
   // claim and the smaller-node-id rule can settle it.
-  net::TakeoverNotice claim{snapshot_of(owned_[region_id]), /*flood_ttl=*/3};
-  std::vector<NodeId> audience;
-  for (const auto& [rid2, r2] : owned_) {
-    for (const auto& [oid, other] : r2.neighbors) {
-      if (std::find(audience.begin(), audience.end(), other.primary.id) ==
-          audience.end()) {
-        audience.push_back(other.primary.id);
-      }
-    }
+  const net::TakeoverNotice claim{snapshot_of(adopted), /*flood_ttl=*/3};
+  for (const NodeId to : neighbor_primaries(owned_)) {
+    network_.send(self_.id, to, claim);
   }
-  for (const NodeId to : audience) network_.send(self_.id, to, claim);
   GEOGRID_DEBUG("node " << self_.id << " adopted orphan region "
-                        << region_id);
+                        << snap.region);
 }
 
 void GeoGridNode::handle_owner_probe(const net::OwnerProbe& m) {
@@ -263,9 +294,7 @@ void GeoGridNode::handle_heartbeat(NodeId from, const net::Heartbeat& m) {
     neighbor_last_heard_[m.region] = loop_.now();
     nb->second.load = m.load;
     nb->second.workload_index =
-        nb->second.primary.capacity > 0.0
-            ? m.load / nb->second.primary.capacity
-            : m.load;
+        net::load_index(m.load, nb->second.primary.capacity);
   }
 }
 
@@ -273,14 +302,7 @@ void GeoGridNode::handle_load_stats(NodeId /*from*/,
                                     const net::LoadStatsExchange& m) {
   for (const auto& snap : m.regions) {
     neighbor_last_heard_[snap.region] = loop_.now();
-    for (auto& [rid, region] : owned_) {
-      if (snap.region == rid) continue;
-      if (snap.rect.edge_adjacent(region.rect)) {
-        region.neighbors[snap.region] = snap;
-      } else {
-        region.neighbors.erase(snap.region);
-      }
-    }
+    learn_neighbor(owned_, snap);
   }
 }
 
@@ -317,13 +339,7 @@ void GeoGridNode::handle_neighbor_update(const net::NeighborUpdate& m) {
     }
     return;
   }
-  for (auto& [rid, region] : owned_) {
-    if (snap.rect.edge_adjacent(region.rect)) {
-      region.neighbors[snap.region] = snap;
-    } else {
-      region.neighbors.erase(snap.region);
-    }
-  }
+  learn_neighbor(owned_, snap);
 }
 
 void GeoGridNode::handle_neighbor_remove(const net::NeighborRemove& m) {
@@ -343,17 +359,7 @@ void GeoGridNode::handle_takeover(const net::TakeoverNotice& m) {
       net::TakeoverNotice forwarded = m;
       forwarded.flood_ttl = static_cast<std::uint8_t>(m.flood_ttl - 1);
       if (forwarded.flood_ttl > 0) {
-        std::vector<NodeId> audience;
-        for (const auto& [rid, region] : owned_) {
-          for (const auto& [nid, nb] : region.neighbors) {
-            if (nb.primary.id == snap.primary.id) continue;
-            if (std::find(audience.begin(), audience.end(),
-                          nb.primary.id) == audience.end()) {
-              audience.push_back(nb.primary.id);
-            }
-          }
-        }
-        for (const NodeId to : audience) {
+        for (const NodeId to : neighbor_primaries(owned_, snap.primary.id)) {
           network_.send(self_.id, to, forwarded);
         }
       }
@@ -375,8 +381,7 @@ void GeoGridNode::handle_takeover(const net::TakeoverNotice& m) {
           region.peer = snap.primary;
           peer_last_heard_[snap.region] = loop_.now();
         } else {
-          owned_.erase(it);
-          peer_last_heard_.erase(snap.region);
+          drop_seat(snap.region);
         }
       } else {
         network_.send(self_.id, snap.primary.id,
@@ -410,43 +415,26 @@ void GeoGridNode::handle_leave_notice(NodeId from, const net::LeaveNotice& m) {
 }
 
 void GeoGridNode::handle_region_handoff(const net::RegionHandoff& m) {
-  if (m.vacate.valid()) {
-    owned_.erase(m.vacate);
-    peer_last_heard_.erase(m.vacate);
-  }
+  if (m.vacate.valid()) drop_seat(m.vacate);
   const RegionSnapshot& snap = m.region_state;
-  OwnedRegion region;
-  region.id = snap.region;
-  region.rect = snap.rect;
-  region.split_depth = snap.split_depth;
-  region.load = snap.load;
-  if (snap.primary.id == self_.id) {
-    region.role = OwnerRole::kPrimary;
-    region.peer = snap.secondary;
-  } else {
-    region.role = OwnerRole::kSecondary;
-    region.peer = snap.primary;
-  }
-  for (const auto& nb : m.neighbors) {
-    if (nb.region != region.id && nb.rect.edge_adjacent(region.rect)) {
-      region.neighbors[nb.region] = nb;
-    }
-  }
-  const RegionId rid = region.id;
-  GEOGRID_DEBUG("node " << self_.id << " handoff-adopts " << rid << " rect "
-                        << region.rect.to_string() << " vacate " << m.vacate);
-  owned_[rid] = std::move(region);
-  peer_last_heard_[rid] = loop_.now();
+  OwnedRegion& region = take_seat(
+      snap,
+      snap.primary.id == self_.id ? OwnerRole::kPrimary : OwnerRole::kSecondary,
+      m.neighbors);
+  GEOGRID_DEBUG("node " << self_.id << " handoff-adopts " << region.id
+                        << " rect " << region.rect.to_string() << " vacate "
+                        << m.vacate);
+  peer_last_heard_[region.id] = loop_.now();
   // Fresh liveness grace for the inherited neighbor table: heartbeats from
   // these regions only start flowing once our update below lands.
-  for (const auto& [nid, nb] : owned_[rid].neighbors) {
+  for (const auto& [nid, nb] : region.neighbors) {
     neighbor_last_heard_[nid] = loop_.now();
   }
-  broadcast_neighbor_update(owned_[rid]);
-  if (owned_[rid].is_primary()) {
-    for (const auto& [nid, nb] : owned_[rid].neighbors) {
-      network_.send(self_.id, nb.primary.id,
-                    net::TakeoverNotice{snapshot_of(owned_[rid])});
+  broadcast_neighbor_update(region);
+  if (region.is_primary()) {
+    const net::TakeoverNotice notice{snapshot_of(region)};
+    for (const auto& [nid, nb] : region.neighbors) {
+      network_.send(self_.id, nb.primary.id, notice);
     }
   }
 }
@@ -477,9 +465,7 @@ void GeoGridNode::leave() {
     handoff.region_state = snapshot_of(region);
     handoff.region_state.primary = caretaker->primary;
     handoff.region_state.secondary.reset();
-    for (const auto& [nid, snap] : region.neighbors) {
-      handoff.neighbors.push_back(snap);
-    }
+    handoff.neighbors = region.neighbor_list();
     network_.send(self_.id, caretaker->primary.id, handoff);
   }
   for (auto& t : timers_) t.cancel();
@@ -527,11 +513,7 @@ void GeoGridNode::tick_adaptation() {
   }
   if (subject == nullptr || subject->neighbors.empty()) return;
 
-  std::vector<RegionSnapshot> neighbors;
-  neighbors.reserve(subject->neighbors.size());
-  for (const auto& [nid, snap] : subject->neighbors) {
-    neighbors.push_back(snap);
-  }
+  const std::vector<RegionSnapshot> neighbors = subject->neighbor_list();
   if (!loadbalance::should_adapt_snapshots(workload_index(), neighbors,
                                            config_.planner.trigger_ratio)) {
     return;
@@ -558,8 +540,6 @@ void GeoGridNode::tick_adaptation() {
   net::TtlSearchRequest search;
   search.search_id = pending_.search_id;
   search.origin = self_;
-  search.want = subject_snap.full() ? net::SearchWant::kSecondary
-                                    : net::SearchWant::kSecondary;
   search.min_capacity = self_.capacity;
   search.max_index = subject_snap.workload_index;
   search.ttl = static_cast<std::uint8_t>(config_.planner.search_ttl);
@@ -636,9 +616,7 @@ void GeoGridNode::initiate_plan(const Plan& plan,
                      ? net::SwitchKind::kPrimaryWithPrimary
                      : net::SwitchKind::kPrimaryWithSecondary;
       req.proposer_region = snapshot_of(subject);
-      for (const auto& [nid, snap] : subject.neighbors) {
-        req.proposer_neighbors.push_back(snap);
-      }
+      req.proposer_neighbors = subject.neighbor_list();
       req.target_region = plan.partner;
       send_to_region_primary(partner_snapshot, req);
       return;
@@ -646,9 +624,7 @@ void GeoGridNode::initiate_plan(const Plan& plan,
     case Mechanism::kMergeNeighbor: {
       net::MergeRequest req;
       req.proposer_region = snapshot_of(subject);
-      for (const auto& [nid, snap] : subject.neighbors) {
-        req.proposer_neighbors.push_back(snap);
-      }
+      req.proposer_neighbors = subject.neighbor_list();
       req.target_region = plan.partner;
       send_to_region_primary(partner_snapshot, req);
       return;
@@ -658,46 +634,16 @@ void GeoGridNode::initiate_plan(const Plan& plan,
 
 void GeoGridNode::execute_local_split(OwnedRegion& region) {
   assert(region.full() && region.is_primary());
-  const NodeInfo peer = *region.peer;
-  const Axis axis = overlay::split_axis_for_depth(region.split_depth);
-  const auto [low, high] = region.rect.split(axis);
-  const bool keep_low = low.covers_inclusive(self_.coord);
-
-  const std::map<RegionId, RegionSnapshot> old_neighbors = region.neighbors;
-  region.rect = keep_low ? low : high;
-  region.split_depth += 1;
-  region.load *= 0.5;
-  region.peer.reset();
-
-  RegionSnapshot fresh;
-  fresh.region =
-      RegionId{(self_.id.value << 12) | (next_local_region_++ & 0xfff)};
-  fresh.rect = keep_low ? high : low;
-  fresh.split_depth = region.split_depth;
-  fresh.primary = peer;
-  fresh.load = region.load;
-  fresh.workload_index =
-      peer.capacity > 0.0 ? fresh.load / peer.capacity : fresh.load;
-
-  prune_neighbors(region);
-  region.neighbors[fresh.region] = fresh;
-
-  net::RegionHandoff handoff;
-  handoff.region_state = fresh;
-  for (const auto& [nid, snap] : old_neighbors) {
-    if (snap.rect.edge_adjacent(fresh.rect)) {
-      handoff.neighbors.push_back(snap);
-    }
-  }
-  handoff.neighbors.push_back(snapshot_of(region));
-  handoff.vacate = region.id;
-  network_.send(self_.id, peer.id, handoff);
-
-  const RegionSnapshot mine = snapshot_of(region);
-  for (const auto& [nid, snap] : old_neighbors) {
-    network_.send(self_.id, snap.primary.id, net::NeighborUpdate{mine});
-    network_.send(self_.id, snap.primary.id, net::NeighborUpdate{fresh});
-  }
+  // Our secondary founds the given half, leaving its seat here.
+  split_region(region, *region.peer, nullptr,
+               [&](const RegionSnapshot& given,
+                   std::vector<RegionSnapshot> neighbors) {
+                 net::RegionHandoff handoff;
+                 handoff.region_state = given;
+                 handoff.neighbors = std::move(neighbors);
+                 handoff.vacate = region.id;
+                 network_.send(self_.id, given.primary.id, handoff);
+               });
   ++counters_.adaptations_completed;
   clear_adaptation_state();
 }
@@ -740,9 +686,7 @@ void GeoGridNode::handle_steal_grant(const net::StealSecondaryGrant& m) {
 
   net::RegionHandoff handoff;
   handoff.region_state = snapshot_of(subject);
-  for (const auto& [nid, snap] : subject.neighbors) {
-    handoff.neighbors.push_back(snap);
-  }
+  handoff.neighbors = subject.neighbor_list();
   handoff.vacate = m.victim_region;
   network_.send(self_.id, m.stolen.id, handoff);
   broadcast_neighbor_update(subject);
@@ -765,14 +709,12 @@ void GeoGridNode::handle_switch_request(NodeId from,
 
   if (m.kind == net::SwitchKind::kPrimaryWithPrimary) {
     // Validate with our current load: strict improvement required.
-    const double my_index =
-        self_.capacity > 0.0 ? region.load / self_.capacity : region.load;
+    const double my_index = net::load_index(region.load, self_.capacity);
     const double proposer_index = m.proposer_region.workload_index;
     const double old_max = std::max(proposer_index, my_index);
     const double new_max =
         std::max(m.proposer_region.load / self_.capacity,
-                 proposer_cap > 0.0 ? region.load / proposer_cap
-                                    : region.load);
+                 net::load_index(region.load, proposer_cap));
     if (self_.capacity <= proposer_cap || new_max >= old_max) {
       reject();
       return;
@@ -781,32 +723,16 @@ void GeoGridNode::handle_switch_request(NodeId from,
     net::RegionHandoff handoff;
     handoff.region_state = snapshot_of(region);
     handoff.region_state.primary = m.proposer_region.primary;
-    for (const auto& [nid, snap] : region.neighbors) {
-      handoff.neighbors.push_back(snap);
-    }
+    handoff.neighbors = region.neighbor_list();
     network_.send(self_.id, from, handoff);
     network_.send(self_.id, from,
                   net::SwitchGrant{m.kind, m.target_region, self_});
 
-    OwnedRegion adopted;
-    adopted.id = m.proposer_region.region;
-    adopted.rect = m.proposer_region.rect;
-    adopted.split_depth = m.proposer_region.split_depth;
-    adopted.role = OwnerRole::kPrimary;
-    adopted.peer = m.proposer_region.secondary;
-    adopted.load = m.proposer_region.load;
-    for (const auto& snap : m.proposer_neighbors) {
-      if (snap.region != adopted.id &&
-          snap.rect.edge_adjacent(adopted.rect)) {
-        adopted.neighbors[snap.region] = snap;
-      }
-    }
-    const RegionId adopted_id = adopted.id;
-    owned_.erase(m.target_region);
-    peer_last_heard_.erase(m.target_region);
-    owned_[adopted_id] = std::move(adopted);
-    peer_last_heard_[adopted_id] = loop_.now();
-    broadcast_neighbor_update(owned_[adopted_id]);
+    drop_seat(m.target_region);
+    OwnedRegion& adopted = take_seat(m.proposer_region, OwnerRole::kPrimary,
+                                     m.proposer_neighbors);
+    peer_last_heard_[adopted.id] = loop_.now();
+    broadcast_neighbor_update(adopted);
     return;
   }
 
@@ -835,31 +761,14 @@ void GeoGridNode::handle_switch_request(NodeId from,
 
 void GeoGridNode::handle_switch_grant(NodeId from, const net::SwitchGrant& m) {
   if (!pending_.active || pending_.partner != m.target_region) return;
-  auto it = owned_.find(pending_.subject);
-  if (m.kind == net::SwitchKind::kPrimaryWithPrimary) {
-    // Our new region arrives separately as a RegionHandoff; drop the old
-    // primary seat now.
-    if (it != owned_.end()) {
-      owned_.erase(it);
-      peer_last_heard_.erase(pending_.subject);
-    }
-  } else {
-    // We moved into the partner region's secondary seat.
-    if (it != owned_.end()) {
-      owned_.erase(it);
-      peer_last_heard_.erase(pending_.subject);
-    }
-    OwnedRegion seat;
-    seat.id = m.target_region;
-    seat.rect = pending_.partner_snapshot.rect;
-    seat.split_depth = pending_.partner_snapshot.split_depth;
-    seat.role = OwnerRole::kSecondary;
-    seat.peer = pending_.partner_snapshot.primary;
-    seat.load = pending_.partner_snapshot.load;
-    owned_[m.target_region] = std::move(seat);
+  // Either way our old primary seat goes.  With primaries switched, the
+  // new region arrives separately as a RegionHandoff; otherwise we moved
+  // into the partner region's secondary seat.
+  drop_seat(pending_.subject);
+  if (m.kind == net::SwitchKind::kPrimaryWithSecondary) {
+    take_seat(pending_.partner_snapshot, OwnerRole::kSecondary, {});
     peer_last_heard_[m.target_region] = loop_.now();
-    network_.send(self_.id, from,
-                  net::HeartbeatAck{m.target_region});
+    network_.send(self_.id, from, net::HeartbeatAck{m.target_region});
   }
   ++counters_.adaptations_completed;
   clear_adaptation_state();
@@ -878,13 +787,11 @@ void GeoGridNode::handle_merge_request(NodeId from,
     return;
   }
   OwnedRegion& region = it->second;
-  const double my_index =
-      self_.capacity > 0.0 ? region.load / self_.capacity : region.load;
+  const double my_index = net::load_index(region.load, self_.capacity);
   const double proposer_cap = m.proposer_region.primary.capacity;
   const double merged_cap = std::max(self_.capacity, proposer_cap);
   const double merged_load = region.load + m.proposer_region.load;
-  const double merged_index =
-      merged_cap > 0.0 ? merged_load / merged_cap : merged_load;
+  const double merged_index = net::load_index(merged_load, merged_cap);
   const double average =
       (my_index + m.proposer_region.workload_index) / 2.0;
   if (merged_index >= average) {
@@ -933,21 +840,12 @@ void GeoGridNode::handle_merge_request(NodeId from,
                                        1);
   merged.load = merged_load;
   merged.secondary = self_;
-  merged.workload_index =
-      proposer_cap > 0.0 ? merged_load / proposer_cap : merged_load;
+  merged.workload_index = net::load_index(merged_load, proposer_cap);
 
   // Our seat becomes a secondary seat of the proposer's (merged) region.
-  OwnedRegion seat;
-  seat.id = merged.region;
-  seat.rect = merged_rect;
-  seat.split_depth = merged.split_depth;
-  seat.role = OwnerRole::kSecondary;
-  seat.peer = m.proposer_region.primary;
-  seat.load = merged_load;
   const std::map<RegionId, RegionSnapshot> old_neighbors = region.neighbors;
-  owned_.erase(m.target_region);
-  peer_last_heard_.erase(m.target_region);
-  owned_[merged.region] = std::move(seat);
+  drop_seat(m.target_region);
+  take_seat(merged, OwnerRole::kSecondary, {});
   peer_last_heard_[merged.region] = loop_.now();
 
   network_.send(self_.id, from, net::MergeGrant{merged});
@@ -985,16 +883,8 @@ void GeoGridNode::handle_merge_grant(NodeId /*from*/,
     sync_peer(region);
   } else {
     // The partner absorbed our region; we are now its secondary.
-    owned_.erase(it);
-    peer_last_heard_.erase(pending_.subject);
-    OwnedRegion seat;
-    seat.id = m.merged.region;
-    seat.rect = m.merged.rect;
-    seat.split_depth = m.merged.split_depth;
-    seat.role = OwnerRole::kSecondary;
-    seat.peer = m.merged.primary;
-    seat.load = m.merged.load;
-    owned_[m.merged.region] = std::move(seat);
+    drop_seat(pending_.subject);
+    take_seat(m.merged, OwnerRole::kSecondary, {});
     peer_last_heard_[m.merged.region] = loop_.now();
   }
   ++counters_.adaptations_completed;
@@ -1034,17 +924,9 @@ void GeoGridNode::handle_ttl_search(NodeId /*from*/,
   if (m.depth >= m.ttl) return;
   net::TtlSearchRequest forwarded = m;
   forwarded.depth = static_cast<std::uint8_t>(m.depth + 1);
-  std::vector<NodeId> recipients;
-  for (const auto& [rid, region] : owned_) {
-    for (const auto& [nid, snap] : region.neighbors) {
-      if (snap.primary.id == m.origin.id) continue;
-      if (std::find(recipients.begin(), recipients.end(),
-                    snap.primary.id) == recipients.end()) {
-        recipients.push_back(snap.primary.id);
-      }
-    }
+  for (NodeId to : neighbor_primaries(owned_, m.origin.id)) {
+    network_.send(self_.id, to, forwarded);
   }
-  for (NodeId to : recipients) network_.send(self_.id, to, forwarded);
 }
 
 void GeoGridNode::handle_ttl_reply(const net::TtlSearchReply& m) {
@@ -1065,7 +947,11 @@ void GeoGridNode::handle_ttl_reply(const net::TtlSearchReply& m) {
 // ---------------------------------------------------------------------------
 
 void GeoGridNode::on_message(NodeId from, const Message& msg) {
-  if (leaving_) return;
+  if (!leaving_) dispatch(from, msg, 0);
+}
+
+void GeoGridNode::dispatch(NodeId from, const Message& msg,
+                           std::uint16_t hops) {
   // Exhaustive dispatch over the closed message variant; overloaded visit
   // keeps each handler's argument strongly typed.
   std::visit(
@@ -1108,7 +994,7 @@ void GeoGridNode::on_message(NodeId from, const Message& msg) {
           if (auto it = owned_.find(m.region);
               it != owned_.end() && !it->second.is_primary()) {
             it->second.app_version = m.version;
-            detail::decode_app_state(m.payload, it->second);
+            decode_app_state(m.payload, it->second);
             peer_last_heard_[m.region] = loop_.now();
           }
         } else if constexpr (std::is_same_v<T, net::LoadStatsExchange>) {
@@ -1155,8 +1041,11 @@ void GeoGridNode::on_message(NodeId from, const Message& msg) {
         } else if constexpr (std::is_same_v<T, net::Notify>) {
           ++counters_.notifies_received;
           if (on_notify) on_notify(m);
+        } else if constexpr (std::is_same_v<T, net::OwnerProbe>) {
+          handle_owner_probe(m);
         } else if constexpr (std::is_same_v<T, net::LocationUpdate>) {
-          // Direct delivery: secondary-seat coverer forwarding to us.
+          // Routed here, or forwarded by a node whose secondary seat covers
+          // the position.
           handle_location_update(m);
         } else if constexpr (std::is_same_v<T, net::LocationUpdateAck>) {
           ++counters_.location_acks_received;
@@ -1164,7 +1053,7 @@ void GeoGridNode::on_message(NodeId from, const Message& msg) {
         } else if constexpr (std::is_same_v<T, net::UserHandoff>) {
           handle_user_handoff(m);
         } else if constexpr (std::is_same_v<T, net::LocateRequest>) {
-          handle_locate_request(m, 0);
+          handle_locate_request(m, hops);
         } else if constexpr (std::is_same_v<T, net::LocateReply>) {
           ++counters_.locate_replies_received;
           if (on_locate) on_locate(m);

@@ -46,8 +46,7 @@ Plan plan_local(const net::RegionSnapshot& subject,
                 const PlannerConfig& config) {
   const double cap_primary = subject.primary.capacity;
   const double subject_load = subject.load;
-  const double subject_index =
-      cap_primary > 0.0 ? subject_load / cap_primary : subject_load;
+  const double subject_index = net::load_index(subject_load, cap_primary);
 
   // (a) Steal Secondary Owner -- subject half-full; qualifying neighbor
   // with the lowest workload index donates its secondary.
@@ -133,8 +132,7 @@ Plan plan_remote(const net::RegionSnapshot& subject,
                  const PlannerConfig& config) {
   const double cap_primary = subject.primary.capacity;
   const double subject_load = subject.load;
-  const double subject_index =
-      cap_primary > 0.0 ? subject_load / cap_primary : subject_load;
+  const double subject_index = net::load_index(subject_load, cap_primary);
 
   // (f) Steal Remote Secondary -- donor full, stronger secondary, less
   // loaded than the subject.

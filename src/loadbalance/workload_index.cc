@@ -17,17 +17,14 @@ double node_load(const Partition& partition, const LoadFn& load_of,
 
 double node_index(const Partition& partition, const LoadFn& load_of,
                   NodeId node) {
-  const double capacity = partition.node(node).capacity;
-  const double load = node_load(partition, load_of, node);
-  return capacity > 0.0 ? load / capacity : load;
+  return net::load_index(node_load(partition, load_of, node),
+                         partition.node(node).capacity);
 }
 
 double region_index(const Partition& partition, const LoadFn& load_of,
                     RegionId region) {
   const auto& r = partition.region(region);
-  const double capacity = partition.node(r.primary).capacity;
-  const double load = load_of(region);
-  return capacity > 0.0 ? load / capacity : load;
+  return net::load_index(load_of(region), partition.node(r.primary).capacity);
 }
 
 std::vector<NodeId> neighbor_owners(const Partition& partition, NodeId node) {

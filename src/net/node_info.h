@@ -30,6 +30,12 @@ struct NodeInfo {
   static auto fields(auto& m) { return std::tie(m.id, m.coord, m.capacity); }
 };
 
+/// Workload index of `load` carried on `capacity`: load / capacity, or the
+/// load itself when the capacity is zero.
+inline double load_index(double load, double capacity) noexcept {
+  return capacity > 0.0 ? load / capacity : load;
+}
+
 /// A node's view of one region: geometry, owners, and load facts.
 struct RegionSnapshot {
   RegionId region{};

@@ -11,8 +11,7 @@ net::RegionSnapshot make_snapshot(const Partition& partition, RegionId id,
   s.primary = partition.node(r.primary);
   if (r.secondary) s.secondary = partition.node(*r.secondary);
   s.load = load_of ? load_of(id) : 0.0;
-  const double capacity = s.primary.capacity;
-  s.workload_index = capacity > 0.0 ? s.load / capacity : s.load;
+  s.workload_index = net::load_index(s.load, s.primary.capacity);
   s.split_depth = r.split_depth;
   return s;
 }

@@ -170,5 +170,35 @@ TEST(ProtocolFailure, QueriesStillWorkAfterFailover) {
   EXPECT_GE(results, 2);
 }
 
+// A routed message whose target no region covers (a point off the plane)
+// is dropped; the node that drops it counts why.
+TEST(ProtocolFailure, LoneFounderCountsNoRouteDrop) {
+  Cluster cluster(options(GridMode::kBasic, 20));
+  auto& founder = cluster.spawn_at({10, 10}, 10.0);
+  ASSERT_TRUE(cluster.run_until_joined());
+  founder.publish({-5, 32}, "parking", "off the plane");
+  cluster.run_for(5);
+  EXPECT_EQ(founder.counters().routes_dropped_no_route, 1u);
+  EXPECT_EQ(founder.counters().routes_dropped_hop_limit, 0u);
+}
+
+TEST(ProtocolFailure, OffPlaneTargetBouncesToHopLimit) {
+  Cluster cluster(options(GridMode::kBasic, 21));
+  auto& a = cluster.spawn_at({10, 10}, 10.0);
+  auto& b = cluster.spawn_at({50, 50}, 10.0);
+  ASSERT_TRUE(cluster.run_until_joined());
+  cluster.run_for(10);
+  a.publish({-5, 32}, "parking", "off the plane");
+  cluster.run_for(20);
+  // Each node's only neighbor is the other, so the envelope bounces between
+  // them until its hop budget runs out, and one of them drops it.
+  const auto& ca = a.counters();
+  const auto& cb = b.counters();
+  EXPECT_EQ(ca.routed_forwarded + cb.routed_forwarded,
+            GeoGridNode::Config{}.max_route_hops);
+  EXPECT_EQ(ca.routes_dropped_hop_limit + cb.routes_dropped_hop_limit, 1u);
+  EXPECT_EQ(ca.routes_dropped_no_route + cb.routes_dropped_no_route, 0u);
+}
+
 }  // namespace
 }  // namespace geogrid::core
