@@ -256,14 +256,11 @@ void GeoGridNode::adopt_orphan(const RegionSnapshot& snap) {
 void GeoGridNode::handle_owner_probe(const net::OwnerProbe& m) {
   // We cover the probed area: tell the prober who actually owns it.
   // (route_or_handle only delivers this when some owned region covers the
-  // probed center.)
-  for (auto& [rid, region] : owned_) {
-    if (!region.is_primary()) continue;
-    net::NeighborUpdate update{snapshot_of(region)};
-    if (rid == m.region) {
-      network_.send(self_.id, m.prober.id, update);  // alive and well
-      return;
-    }
+  // probed center.)  Either seat of the probed region proves it alive.
+  if (const auto it = owned_.find(m.region); it != owned_.end()) {
+    network_.send(self_.id, m.prober.id,
+                  net::NeighborUpdate{snapshot_of(it->second)});
+    return;
   }
   // The probed region id is not ours: it was split, merged or renamed.
   // Retire the prober's stale entry and teach it the covering region.

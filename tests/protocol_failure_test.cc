@@ -2,6 +2,9 @@
 // graceful departure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/cluster.h"
 
 namespace geogrid::core {
@@ -110,6 +113,45 @@ TEST(ProtocolFailure, CaretakerAdoptsOrphanRegion) {
     }
   }
   EXPECT_NEAR(covered, 64.0 * 64.0, 1e-6);
+}
+
+// An OwnerProbe can land on the node holding the probed region's secondary
+// seat.  That region is alive, so the answer must refresh the prober's
+// entry, never retire it.
+TEST(ProtocolFailure, OwnerProbeAnsweredBySecondarySeat) {
+  Cluster cluster(options(GridMode::kDualPeer, 15));
+  auto& a = cluster.spawn_at({10, 10}, 100.0);  // primary
+  auto& b = cluster.spawn_at({50, 50}, 1.0);    // secondary
+  ASSERT_TRUE(cluster.run_until_joined());
+  cluster.run_for(10);
+  ASSERT_EQ(b.owned().size(), 1u);
+  const RegionId region = b.owned().begin()->first;
+  ASSERT_FALSE(b.owned().begin()->second.is_primary());
+
+  std::vector<RegionId> removed;
+  std::vector<RegionId> refreshed;
+  cluster.network().on_send = [&](NodeId, NodeId to, const net::Message& m) {
+    if (to != a.info().id) return;
+    if (const auto* rm = std::get_if<net::NeighborRemove>(&m)) {
+      removed.push_back(rm->region);
+    }
+    if (const auto* up = std::get_if<net::NeighborUpdate>(&m)) {
+      refreshed.push_back(up->snapshot.region);
+    }
+  };
+  cluster.network().send(a.info().id, b.info().id,
+                         net::OwnerProbe{region, a.info()});
+  cluster.run_for(0.5);
+
+  for (const RegionId r : removed) {
+    for (const auto& node : cluster.nodes()) {
+      EXPECT_FALSE(node->owned().contains(r))
+          << "NeighborRemove names region " << r << ", which node "
+          << node->info().id << " still holds";
+    }
+  }
+  EXPECT_NE(std::find(refreshed.begin(), refreshed.end(), region),
+            refreshed.end());
 }
 
 TEST(ProtocolFailure, GracefulLeaveHandsOverSeats) {

@@ -238,14 +238,13 @@ TEST(ProtocolPin, Basic) {
 TEST(ProtocolPin, DualPeer) {
   expect_pin(
       GridMode::kDualPeer, 1,
-      {95094ull, 1970ull, 76720782ull,
+      {95225ull, 1970ull, 76731353ull,
        {{1, 43}, {2, 74}, {3, 74}, {11, 47}, {12, 23}, {13, 23},
-        {14, 42}, {15, 7}, {20, 810}, {21, 1}, {30, 1}, {31, 72},
-        {32, 22}, {40, 15788}, {42, 16414}, {50, 6495}, {70, 38367}, {80, 31},
-        {81, 67}, {82, 21}, {83, 49}, {86, 5}, {90, 343}, {91, 16253},
-        {94, 22}},
-       {74846456, 0x7580ffaa839164a1ull},
-       {64396, 0xf1befabb2693f581ull}});
+        {14, 42}, {15, 7}, {20, 811}, {30, 1}, {31, 72}, {32, 22},
+        {40, 15903}, {42, 16414}, {50, 6610}, {70, 38268}, {80, 31}, {81, 67},
+        {82, 21}, {83, 49}, {86, 5}, {90, 343}, {91, 16253}, {94, 22}},
+       {74854407, 0x74d57860421fe1a7ull},
+       {64588, 0xa2a5d4c96846342aull}});
 }
 
 TEST(ProtocolPin, DualPeerAdaptive) {
