@@ -24,6 +24,11 @@
 // A user whose record was re-applied at the same position (paused user
 // re-reporting) crossed no boundary and moved no distance: skipped.
 //
+// While the index holds no subscription at all, a drain still publishes,
+// counts its candidates and advances its base epoch, but neither locates
+// nor matches them: stationary_skips and match_latency() count only the
+// candidates of drains that matched.
+//
 // The match hot path is flat by construction: each task bulk-resolves its
 // chunk's current and previous records through
 // DirectorySnapshot::locate_many (store probes grouped by shard/region
@@ -114,8 +119,9 @@ class NotificationEngine {
 
   struct Counters {
     std::uint64_t drains = 0;
-    std::uint64_t delta_users = 0;      ///< candidate users matched
-    std::uint64_t stationary_skips = 0; ///< re-applied at the same position
+    std::uint64_t delta_users = 0;      ///< candidate users, matched or not
+    /// Matched candidates re-applied at the same position.
+    std::uint64_t stationary_skips = 0;
     std::uint64_t notifications = 0;
     std::uint64_t enters = 0;
     std::uint64_t leaves = 0;
@@ -156,8 +162,8 @@ class NotificationEngine {
   const Counters& counters() const noexcept { return counters_; }
 
   /// Per-user match latency, sampled every kTimingSampleEvery candidates,
-  /// across all drains (merged from the per-task histograms after each
-  /// drain).
+  /// across all drains that matched (merged from the per-task histograms
+  /// after each drain).
   const metrics::LatencyHistogram& match_latency() const noexcept {
     return match_hist_;
   }
