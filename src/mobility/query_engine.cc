@@ -48,16 +48,6 @@ const std::vector<std::uint64_t>& order_by_user(
 
 }  // namespace
 
-void QueryResult::encode(net::Writer& w) const {
-  w.varint(static_cast<std::uint64_t>(kind));
-  if (kind == Query::Kind::kLocate) {
-    w.boolean(found);
-    if (found) net::put(w, located);
-    return;
-  }
-  net::put(w, records);
-}
-
 QueryResult QueryResult::decode(net::Reader& r) {
   QueryResult out;
   const std::uint64_t kind = r.varint();

@@ -93,9 +93,18 @@ struct QueryResult {
   LocationRecord located{};      ///< locate only: valid when `found`
   std::vector<LocationRecord> records;  ///< range / nearest
 
-  /// Canonical encoding (kind tag + payload).  Equal answers mean equal
-  /// bytes — the unit the invariance tests compare.
-  void encode(net::Writer& w) const;
+  /// Canonical encoding (kind tag + payload) to any codec sink.  Equal
+  /// answers mean equal bytes — the unit the invariance tests compare.
+  template <typename Sink>
+  void encode(Sink& w) const {
+    w.varint(static_cast<std::uint64_t>(kind));
+    if (kind == Query::Kind::kLocate) {
+      w.boolean(found);
+      if (found) net::put(w, located);
+      return;
+    }
+    net::put(w, records);
+  }
 
   /// Inverse of encode, for the wire client reconstructing an engine
   /// answer from a reply payload.  Throws net::CodecError on malformed

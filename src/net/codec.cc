@@ -4,17 +4,6 @@
 
 namespace geogrid::net {
 
-void Writer::varint(std::uint64_t v) {
-  std::uint8_t b[10];  // ceil(64 / 7) bytes at most
-  std::size_t n = 0;
-  while (v >= 0x80) {
-    b[n++] = static_cast<std::uint8_t>(v) | 0x80;
-    v >>= 7;
-  }
-  b[n++] = static_cast<std::uint8_t>(v);
-  raw(b, n);
-}
-
 void Writer::grow(std::size_t n) {
   constexpr std::size_t kMinBytes = 64;
   buf_.resize(std::max({size_ + n, 2 * buf_.size(), kMinBytes}));

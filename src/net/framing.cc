@@ -14,14 +14,8 @@ constexpr int kMaxLenVarintBytes = 5;
 }  // namespace
 
 std::size_t append_frame(const Message& m, std::vector<std::byte>& out) {
-  const std::vector<std::byte> body = encode_message(m);
-  Writer prefix;
-  prefix.varint(body.size());
-  // Plain inserts keep the vector's geometric growth: a burst of frames
-  // into one connection buffer costs amortised O(1) per byte.
-  out.insert(out.end(), prefix.bytes().begin(), prefix.bytes().end());
-  out.insert(out.end(), body.begin(), body.end());
-  return prefix.size() + body.size();
+  return std::visit(
+      [&out](const auto& msg) { return append_frame(msg, out); }, m);
 }
 
 std::vector<std::byte> encode_frame(const Message& m) {

@@ -43,6 +43,23 @@ namespace geogrid::net {
 inline constexpr std::size_t kDefaultMaxFrameBytes = 1u << 20;
 
 /// Appends one framed message to `out`; returns the framed size in bytes.
+/// The body is sized from its field list first, so `out` grows once by
+/// exactly the frame (geometrically, as any resize does) and the length
+/// prefix and the body are written in place, with no buffer in between.
+template <WireMessage M>
+std::size_t append_frame(const M& m, std::vector<std::byte>& out) {
+  const std::size_t body = message_size(m);
+  SizeCounter prefix;
+  prefix.varint(body);
+  const std::size_t at = out.size();
+  out.resize(at + prefix.size() + body);
+  Cursor cursor(out.data() + at);
+  cursor.varint(body);
+  put_message(cursor, m);
+  return prefix.size() + body;
+}
+
+/// The same for a message held in the variant.
 std::size_t append_frame(const Message& m, std::vector<std::byte>& out);
 
 /// Convenience: a single framed message as a fresh buffer.

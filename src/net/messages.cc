@@ -86,10 +86,14 @@ std::string_view message_name(MsgType type) {
 }
 
 std::vector<std::byte> encode_message(const Message& m) {
-  Writer w;
-  put(w, message_type(m));
-  std::visit([&w](const auto& msg) { put(w, msg); }, m);
-  return std::move(w).take();
+  return std::visit(
+      [](const auto& msg) {
+        std::vector<std::byte> out(message_size(msg));
+        Cursor at(out.data());
+        put_message(at, msg);
+        return out;
+      },
+      m);
 }
 
 Message decode_message(const std::byte* data, std::size_t size) {

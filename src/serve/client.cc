@@ -161,7 +161,7 @@ std::size_t Client::update_batch(
     upd.user = rec.user;
     upd.location = rec.position;
     upd.seq = rec.seq;
-    net::append_frame(net::Message{upd}, wire);
+    net::append_frame(upd, wire);
   }
   send_all(wire);
   if (!wait_acks) {
@@ -199,14 +199,14 @@ std::vector<mobility::QueryResult> Client::query_batch(
         net::LocateRequest req;
         req.request_id = id;
         req.user = q.user;
-        net::append_frame(net::Message{req}, wire);
+        net::append_frame(req, wire);
         break;
       }
       case mobility::Query::Kind::kRange: {
         net::LocationQuery req;
         req.query_id = id;
         req.area = q.rect;
-        net::append_frame(net::Message{req}, wire);
+        net::append_frame(req, wire);
         break;
       }
       case mobility::Query::Kind::kNearest: {
@@ -214,7 +214,7 @@ std::vector<mobility::QueryResult> Client::query_batch(
         req.query_id = id;
         req.center = q.point;
         req.k = q.k;
-        net::append_frame(net::Message{req}, wire);
+        net::append_frame(req, wire);
         break;
       }
     }

@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <variant>
+
+#include "sample_messages.h"
 
 namespace geogrid::net {
 namespace {
@@ -19,6 +23,36 @@ Message sample_message() {
   ack.region = RegionId{29};
   return ack;
 }
+
+/// A message body as a growing Writer appends it, field by field: the
+/// reference for bodies that are sized first and written in place.
+std::vector<std::byte> appended_body(const Message& m) {
+  Writer w;
+  put(w, message_type(m));
+  std::visit([&w](const auto& msg) { put(w, msg); }, m);
+  return std::move(w).take();
+}
+
+/// `prior`, then [varint length][body], each appended through a Writer.
+std::vector<std::byte> appended_frame(std::vector<std::byte> prior,
+                                      const std::vector<std::byte>& body) {
+  Writer len;
+  len.varint(body.size());
+  prior.insert(prior.end(), len.bytes().begin(), len.bytes().end());
+  prior.insert(prior.end(), body.begin(), body.end());
+  return prior;
+}
+
+/// Bytes an encode(sink) writes raw, with no length of their own: the
+/// payload of a QueryResultOf in these tests.
+struct RawBytes {
+  std::string bytes;
+
+  template <typename Sink>
+  void encode(Sink& sink) const {
+    for (const char c : bytes) sink.u8(static_cast<std::uint8_t>(c));
+  }
+};
 
 TEST(Framing, RoundTripSingleFrame) {
   const Message m = sample_message();
@@ -40,6 +74,71 @@ TEST(Framing, AppendFrameReturnsFramedSize) {
   EXPECT_EQ(n, out.size());
   const std::size_t m = append_frame(sample_message(), out);
   EXPECT_EQ(n + m, out.size());
+
+  // Every message type, framed in place after bytes already in the buffer,
+  // through the variant and through its concrete type: the old bytes stay,
+  // then come the varint length and encode_message's body, byte for byte
+  // what appending them through a Writer gives.
+  const std::vector<std::byte> prior = {std::byte{0xab}, std::byte{0xcd},
+                                        std::byte{0xef}};
+  const std::vector<Message> all = testutil::every_message_type();
+  ASSERT_EQ(all.size(), 48u);
+  for (const Message& msg : all) {
+    const std::string_view name = message_name(message_type(msg));
+    const std::vector<std::byte> body = encode_message(msg);
+    EXPECT_EQ(body, appended_body(msg)) << name;
+    const std::vector<std::byte> want = appended_frame(prior, body);
+
+    std::vector<std::byte> by_variant = prior;
+    EXPECT_EQ(append_frame(msg, by_variant), want.size() - prior.size())
+        << name;
+    EXPECT_EQ(by_variant, want) << name;
+
+    std::vector<std::byte> by_type = prior;
+    std::visit([&by_type](const auto& typed) { append_frame(typed, by_type); },
+               msg);
+    EXPECT_EQ(by_type, want) << name;
+  }
+}
+
+TEST(Framing, InPlaceFramesAtVarintWidthBoundaries) {
+  // Bodies of 127/128 and 16,383/16,384 bytes widen the length prefix from
+  // one to two to three bytes; QueryResult payloads of those sizes widen
+  // the payload's own length the same way.  A QueryResult with a payload
+  // string and a QueryResultOf writing the same bytes must both frame to
+  // what appending through a Writer gives.
+  const auto reply_of = [](std::size_t payload_bytes) {
+    return QueryResult{42, RegionId{7}, std::string(payload_bytes, 'p')};
+  };
+  const auto check = [](const QueryResult& reply) {
+    const std::vector<std::byte> want =
+        appended_frame({std::byte{0x01}}, appended_body(reply));
+    const std::size_t payload = reply.payload.size();
+
+    std::vector<std::byte> with_string = {std::byte{0x01}};
+    const std::size_t framed = append_frame(reply, with_string);
+    EXPECT_EQ(with_string, want) << payload << "-byte payload";
+
+    const RawBytes raw{reply.payload};
+    std::vector<std::byte> in_place = {std::byte{0x01}};
+    append_frame(QueryResultOf<RawBytes>{reply.query_id, reply.from_region,
+                                         EncodedBlob(raw)},
+                 in_place);
+    EXPECT_EQ(in_place, want) << payload << "-byte payload";
+    return framed;
+  };
+
+  for (const std::size_t payload : {127u, 128u, 16383u, 16384u}) {
+    check(reply_of(payload));
+  }
+  for (const std::size_t body : {127u, 128u, 16383u, 16384u}) {
+    // The payload that makes the whole body `body` bytes long.
+    std::size_t payload = body;
+    while (message_size(reply_of(payload)) > body) --payload;
+    ASSERT_EQ(message_size(reply_of(payload)), body);
+    const std::size_t prefix = check(reply_of(payload)) - body;
+    EXPECT_EQ(prefix, body < 128 ? 1u : body < 16384 ? 2u : 3u) << body;
+  }
 }
 
 TEST(Framing, AppendFrameGrowsGeometrically) {
