@@ -33,8 +33,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -57,6 +59,82 @@ struct LocationRecord {
   static auto fields(auto& m) {
     return std::tie(m.user, m.position, m.seq, m.timestamp);
   }
+};
+
+/// The k best candidates of one k-nearest answer, gathered across every
+/// store it probes: a bounded max-heap on (distance, user id) whose top is
+/// the worst candidate kept, sorted once when the answer is taken.  An
+/// offer costs O(log k) whatever k is, and the set holds at most
+/// min(k, records offered), so a hostile k sizes nothing up front.  One
+/// set is reused across answers (reset() keeps the capacity), so a caller
+/// that keeps it in scratch makes no allocation per answer.
+class NearestSet {
+ public:
+  /// Empties the set for a new answer of `k` records.
+  void reset(std::size_t k) {
+    k_ = k;
+    heap_.clear();
+  }
+
+  bool full() const noexcept { return heap_.size() >= k_; }
+
+  /// The k-th best distance so far; +inf until k candidates are held.
+  double kth() const noexcept {
+    return full() && !heap_.empty() ? heap_.front().dist
+                                    : std::numeric_limits<double>::infinity();
+  }
+
+  /// The distance beyond which a lower bound proves a record cannot
+  /// enter: kth() widened by far more than the rounding of any bound (a
+  /// cell or rect distance differs from a record's own distance() by a few
+  /// ulps).  Pruning on `bound > reach()` therefore never drops a record
+  /// whose distance() would tie or beat the k-th best.
+  double reach() const noexcept {
+    const double kth = this->kth();
+    return kth + (kth * 0x1p-40 + 0x1p-1000);
+  }
+
+  /// reach() for a bound on a region's rect rather than on a store cell:
+  /// the inclusive cover test routes a record up to kGeoEps outside its
+  /// region's rect, so the reach widens by twice that.
+  double region_reach() const noexcept { return reach() + 2 * kGeoEps; }
+
+  /// True when a record at `dist` with id `user` enters: the set is not
+  /// full yet, or it precedes the worst kept candidate in (distance, id).
+  bool admits(double dist, UserId user) const noexcept {
+    if (!full()) return true;
+    if (heap_.empty()) return false;  // k == 0
+    const Entry& worst = heap_.front();
+    return dist < worst.dist ||
+           (dist == worst.dist && user < worst.record.user);
+  }
+
+  /// Adds a candidate that admits() accepted, evicting the worst when full.
+  void push(double dist, const LocationRecord& record);
+
+  /// Appends the candidates to `out` in ascending (distance, id) order —
+  /// one reserve, so an answer vector grows exactly once — and empties
+  /// the set.
+  void take_sorted(std::vector<LocationRecord>& out);
+
+ private:
+  friend class LocationStore;
+
+  struct Entry {
+    double dist;
+    LocationRecord record;
+  };
+  /// Answer order: ascending distance, ties on user id.  As the heap's
+  /// "less", it keeps the answer's last candidate on top.
+  static bool precedes(const Entry& a, const Entry& b) noexcept {
+    return a.dist != b.dist ? a.dist < b.dist : a.record.user < b.record.user;
+  }
+
+  std::size_t k_ = 0;
+  std::vector<Entry> heap_;
+  /// LocationStore::k_nearest_into's working list of far cells, as
+  /// (lower bound, cell key): kept here so a probe never allocates.
+  std::vector<std::pair<double, std::uint64_t>> far_cells_;
 };
 
 class LocationStore {
@@ -85,17 +163,41 @@ class LocationStore {
   /// <= `max_seq` (a newer report has authority over an older eviction).
   bool erase_if_stale(UserId user, std::uint64_t max_seq);
 
-  /// All records whose position the rect covers (half-open cover test on
-  /// the east/north edges, matching region semantics).
+  /// All records whose position rect.covers_inclusive() accepts: the
+  /// closed band [rect - kGeoEps, rect + kGeoEps] on both axes.
   std::vector<LocationRecord> range(const Rect& rect) const;
 
   /// range() appending into a caller-owned vector (not cleared) — the
   /// batched query path merges per-region partials without reallocating.
+  /// A rect that covers at least as many grid cells as the store holds is
+  /// answered by the SIMD band filter over the whole coordinate columns;
+  /// a narrower one visits the cells the band touches and filters their
+  /// residents without a data-dependent branch.  The two paths emit the
+  /// same hits in different orders.  A band that is empty (a NaN edge, or
+  /// a negative extent wider than the tolerance) finds nothing.
   void range_into(const Rect& rect, std::vector<LocationRecord>& out) const;
 
   /// The k records nearest to `p` (fewer when the store is smaller),
   /// ordered by ascending distance; ties break on user id.
   std::vector<LocationRecord> k_nearest(const Point& p, std::size_t k) const;
+
+  /// Offers to `best` every record of this store that can still enter its
+  /// answer: the k-th best distance `best` already holds, from earlier
+  /// probes of other stores, bounds the probe from its first cell.  Cells
+  /// are visited in Chebyshev rings around p's cell; a ring stops the
+  /// probe once its lower bound — p's distance to the edge of its own
+  /// cell plus (ring - 1) cells — exceeds the k-th best, a cell is skipped
+  /// when its rect distance does, and a resident is rejected on its
+  /// squared distance before any square root.  Every bound widens a cell
+  /// edge by a rounding slack (points are bucketed by floor(v / cell)),
+  /// and compares against NearestSet::reach(), so pruning never changes
+  /// the answer: exactly the distance() order with ties on user id.  The
+  /// walk never enumerates more grid coordinates than the store has
+  /// cells; past that it visits the remaining cells directly, nearest
+  /// first, so a center far off the store costs O(cells log cells), not
+  /// a walk over every empty coordinate in between.  A non-finite p
+  /// finds nothing.
+  void k_nearest_into(const Point& p, NearestSet& best) const;
 
   /// Visits every stored record in slot order (an artifact of ingestion
   /// history, not canonical) — callers that need determinism must sort what
@@ -127,7 +229,18 @@ class LocationStore {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
            static_cast<std::uint32_t>(cy);
   }
+  /// floor(v / cell_size) saturated to the int32 range; NaN maps to the
+  /// lowest cell.
   std::int32_t cell_coord(double v) const noexcept;
+  /// Bounds on the coordinates bucketed into grid column (or row) `c`:
+  /// every v with cell_coord(v) >= c is >= cell_lo(c), and every v with
+  /// cell_coord(v) <= c is <= cell_hi(c).  The saturated end cells are
+  /// unbounded outward.
+  double cell_lo(std::int64_t c) const noexcept;
+  double cell_hi(std::int64_t c) const noexcept;
+  /// Lower bound on the distance from `p` to any record of cell (cx, cy).
+  double cell_distance(std::int64_t cx, std::int64_t cy,
+                       const Point& p) const noexcept;
 
   void cell_insert(std::uint64_t key, std::uint32_t slot);
   void cell_remove(std::uint64_t key, std::uint32_t slot);

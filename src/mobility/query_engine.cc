@@ -1,7 +1,7 @@
 #include "mobility/query_engine.h"
 
 #include <array>
-#include <limits>
+#include <cmath>
 #include <utility>
 
 namespace geogrid::mobility {
@@ -44,6 +44,13 @@ const std::vector<std::uint64_t>& order_by_user(
     std::swap(src, dst);
   }
   return *src;
+}
+
+bool finite(const Point& p) { return std::isfinite(p.x) && std::isfinite(p.y); }
+
+bool finite(const Rect& r) {
+  return std::isfinite(r.x) && std::isfinite(r.y) && std::isfinite(r.width) &&
+         std::isfinite(r.height);
 }
 
 }  // namespace
@@ -150,6 +157,7 @@ void QueryEngine::exec(const DirectorySnapshot& snapshot, const Query& q,
     }
     case Query::Kind::kRange: {
       ++c.ranges;
+      if (!finite(q.rect)) return;
       // Grid-indexed discovery merged across regions, then canonically
       // ordered by user id: a store's internal order reflects insertion
       // order, so without the ordering two directories holding identical
@@ -179,57 +187,31 @@ void QueryEngine::exec(const DirectorySnapshot& snapshot, const Query& q,
     }
     case Query::Kind::kNearest: {
       ++c.nearests;
-      if (q.k == 0) return;
-      auto& best = out.records;
       const Point p = q.point;
-      // `dists` mirrors `best` so ordered insertion never recomputes a
-      // distance: candidates are rejected or placed on cached doubles.
-      std::vector<double>& dists = scratch.knn_dists;
-      dists.clear();
-      // Exact kNN over expanding region rings.  `ring_floor` lower-bounds
-      // every unvisited region — including the ring about to be
-      // enumerated — so refusing the ring once the kth-best beats the
-      // floor cannot miss a closer record; a region whose own rect
-      // distance exceeds the kth-best is skipped but the ring finishes —
-      // a later region in the SAME ring can still hold a closer record.
-      double kth = std::numeric_limits<double>::infinity();
+      if (q.k == 0 || !finite(p)) return;
+      // Exact kNN over expanding region rings, merged in one bounded heap
+      // in task scratch: each store probe starts from the k-th best the
+      // earlier probes found.  `ring_floor` lower-bounds every unvisited
+      // region — including the ring about to be enumerated — so refusing
+      // the ring once the floor passes the k-th best cannot miss a closer
+      // record; a region whose own rect distance does is skipped but the
+      // ring finishes — a later region in the SAME ring can still hold a
+      // closer record.
+      NearestSet& best = scratch.nearest;
+      best.reset(q.k);
       resolver_.each_by_distance(
           p, scratch.near,
-          [&](double ring_floor) { return ring_floor <= kth; },
+          [&](double ring_floor) { return ring_floor <= best.region_reach(); },
           [&](RegionId id, double dist, double) {
-            if (dist > kth) return true;
+            if (dist > best.region_reach()) return true;
             const LocationStore* st = snapshot.store(id);
             if (st == nullptr || st->empty()) return true;
             ++c.regions_scanned;
-            for (const LocationRecord& rec : st->k_nearest(p, q.k)) {
-              const double d = distance(rec.position, p);
-              if (best.size() >= q.k) {
-                // Probe results arrive distance-ascending: the first
-                // candidate beyond the kth-best ends the whole probe.
-                if (d > kth) break;
-                if (d == kth && !(rec.user < best.back().user)) continue;
-              }
-              std::size_t lo = 0, hi = best.size();
-              while (lo < hi) {
-                const std::size_t mid = (lo + hi) / 2;
-                if (dists[mid] < d ||
-                    (dists[mid] == d && best[mid].user < rec.user)) {
-                  lo = mid + 1;
-                } else {
-                  hi = mid;
-                }
-              }
-              best.insert(best.begin() + static_cast<std::ptrdiff_t>(lo), rec);
-              dists.insert(dists.begin() + static_cast<std::ptrdiff_t>(lo), d);
-              if (best.size() > q.k) {
-                best.pop_back();
-                dists.pop_back();
-              }
-              if (best.size() >= q.k) kth = dists.back();
-            }
+            st->k_nearest_into(p, best);
             return true;
           });
-      c.records_returned += best.size();
+      best.take_sorted(out.records);
+      c.records_returned += out.records.size();
       return;
     }
   }

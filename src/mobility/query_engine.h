@@ -22,6 +22,20 @@
 //      regions, and k-nearest discovers stores in expanding distance rings
 //      with an exact pruning bound instead of ordering every store first.
 //
+// A k-nearest answer costs only what can still enter it.  Its candidates
+// from every store land in one bounded max-heap (mobility::NearestSet) in
+// task scratch, O(log k) per offer whatever k is; each store probe starts
+// from the k-th best the earlier probes found, and the region rings stop
+// once their floor passes it.  The answer is sorted once and copied into
+// its vector: one allocation per range or k-nearest answer, none per
+// locate.
+//
+// A query whose center or rect is not finite (NaN or an infinity in any
+// field) answers with an empty result, before any cell or resolver
+// arithmetic sees the value.  A finite query answers exactly however far
+// it lies off the plane or however large its k: nothing is sized by k,
+// and no walk is longer than the cells a store holds.
+//
 // Batches fan out over a fixed WorkerPool by contiguous request chunks;
 // each request is computed entirely by one task against frozen state, and
 // chunk boundaries are a pure function of (batch size, task count), so
@@ -174,7 +188,7 @@ class QueryEngine {
   struct Scratch {
     std::vector<RegionId> regions;
     overlay::RegionResolver::NearScratch near;
-    std::vector<double> knn_dists;  ///< distances parallel to the kNN best
+    NearestSet nearest;  ///< one kNN answer's bounded heap, across stores
     std::vector<LocationRecord> hits;  ///< one range answer, store order
     std::vector<std::uint64_t> keys;   ///< (user << 32 | hit index)
     std::vector<std::uint64_t> spare_keys;  ///< the radix sort's other half

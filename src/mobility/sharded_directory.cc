@@ -322,8 +322,8 @@ std::vector<LocationRecord> ShardedDirectory::range(const Rect& rect) const {
 
 std::vector<LocationRecord> ShardedDirectory::k_nearest(const Point& p,
                                                         std::size_t k) const {
-  std::vector<LocationRecord> best;
-  if (k == 0) return best;
+  std::vector<LocationRecord> out;
+  if (k == 0) return out;
   std::vector<std::pair<double, RegionId>> order;
   for (const auto& slice : current_.slices) {
     slice->for_each([&](RegionId id, const LocationStore& st) {
@@ -332,23 +332,14 @@ std::vector<LocationRecord> ShardedDirectory::k_nearest(const Point& p,
     });
   }
   std::sort(order.begin(), order.end());
-  const auto better = [&p](const LocationRecord& a, const LocationRecord& b) {
-    const double da = distance(a.position, p);
-    const double db = distance(b.position, p);
-    if (da != db) return da < db;
-    return a.user < b.user;
-  };
+  NearestSet best;
+  best.reset(k);
   for (const auto& [floor_dist, id] : order) {
-    if (best.size() >= k && floor_dist > distance(best.back().position, p)) {
-      break;
-    }
-    for (const LocationRecord& rec : store(id)->k_nearest(p, k)) {
-      const auto pos = std::lower_bound(best.begin(), best.end(), rec, better);
-      best.insert(pos, rec);
-      if (best.size() > k) best.pop_back();
-    }
+    if (floor_dist > best.region_reach()) break;
+    store(id)->k_nearest_into(p, best);
   }
-  return best;
+  best.take_sorted(out);
+  return out;
 }
 
 std::optional<std::vector<UserId>> ShardedDirectory::changed_since(

@@ -13,11 +13,6 @@ constexpr int kMaxLenVarintBytes = 5;
 
 }  // namespace
 
-std::size_t append_frame(const Message& m, std::vector<std::byte>& out) {
-  return std::visit(
-      [&out](const auto& msg) { return append_frame(msg, out); }, m);
-}
-
 std::vector<std::byte> encode_frame(const Message& m) {
   std::vector<std::byte> out;
   append_frame(m, out);

@@ -28,8 +28,13 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "net/messages.h"
@@ -42,12 +47,39 @@ namespace geogrid::net {
 /// server buffer.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 1u << 20;
 
+/// An allocator whose value-initialization of an element is
+/// default-initialization, so `resize` grows a byte buffer without
+/// zero-filling the new bytes.  Only for buffers whose every new byte is
+/// written right after the resize, as append_frame's cursor does.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using std::allocator<T>::allocator;
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
+  }
+};
+
+/// The server's per-connection output buffer: frames are written in place
+/// into its spare bytes, which are never zero-filled first.
+using FrameBuffer = std::vector<std::byte, DefaultInitAllocator<std::byte>>;
+
 /// Appends one framed message to `out`; returns the framed size in bytes.
 /// The body is sized from its field list first, so `out` grows once by
 /// exactly the frame (geometrically, as any resize does) and the length
 /// prefix and the body are written in place, with no buffer in between.
-template <WireMessage M>
-std::size_t append_frame(const M& m, std::vector<std::byte>& out) {
+/// Any byte vector works; a FrameBuffer skips the zero-fill of the frame
+/// the cursor then overwrites.
+template <WireMessage M, typename Alloc>
+std::size_t append_frame(const M& m, std::vector<std::byte, Alloc>& out) {
   const std::size_t body = message_size(m);
   SizeCounter prefix;
   prefix.varint(body);
@@ -60,7 +92,11 @@ std::size_t append_frame(const M& m, std::vector<std::byte>& out) {
 }
 
 /// The same for a message held in the variant.
-std::size_t append_frame(const Message& m, std::vector<std::byte>& out);
+template <typename Alloc>
+std::size_t append_frame(const Message& m, std::vector<std::byte, Alloc>& out) {
+  return std::visit(
+      [&out](const auto& msg) { return append_frame(msg, out); }, m);
+}
 
 /// Convenience: a single framed message as a fresh buffer.
 std::vector<std::byte> encode_frame(const Message& m);

@@ -25,6 +25,8 @@
 //     handed to the visitor sorted by (rect distance, id).  The visitor
 //     returns false to stop; unvisited regions are guaranteed to lie at
 //     least `ring_floor` away, which is the pruning bound exact kNN needs.
+//     The floor counts p's offset inside its own grid cell, so a center
+//     well inside its cell can stop before ring 1.
 //
 // The resolver is a cache, not an authority: refresh() must be called by
 // the owning engine between batches (it is cheap — one integer compare —
@@ -66,14 +68,16 @@ struct UniformGridSpec {
   }
 
   /// Clamped cell coordinate along one axis (out-of-plane points land in
-  /// the border cells, so every point maps to a valid cell).
+  /// the border cells, so every point maps to a valid cell; NaN lands in
+  /// cell 0).  The clamp happens before the cast, which is undefined for
+  /// a value beyond the integer's range.
   std::size_t clamp_cell(double v, double origin,
                          double pitch) const noexcept {
     if (pitch <= 0.0) return 0;
     const double cell = std::floor((v - origin) / pitch);
-    if (cell < 0.0) return 0;
-    const auto c = static_cast<std::size_t>(cell);
-    return c >= dim ? dim - 1 : c;
+    if (!(cell >= 0.0)) return 0;
+    if (cell >= static_cast<double>(dim)) return dim - 1;
+    return static_cast<std::size_t>(cell);
   }
   std::size_t cell_x(double x) const noexcept {
     return clamp_cell(x, plane.x, cell_w);
@@ -132,7 +136,11 @@ class RegionResolver {
   /// region comes with its exact rect distance to p; within a ring,
   /// regions arrive sorted by (distance, id).  `ring_floor` is a lower
   /// bound on the distance of every region not yet visited — and of every
-  /// region in the ring about to be enumerated.  `proceed(ring_floor)` is
+  /// region in the ring about to be enumerated: 0 for ring 0, and for
+  /// ring r >= 1 p's distance to the nearest edge of its own grid cell
+  /// (0 when p lies outside the cell it is clamped to) plus r - 1 cell
+  /// pitches, less a rounding slack that keeps it a true lower bound on
+  /// Rect::distance_to.  `proceed(ring_floor)` is
   /// asked before each ring is enumerated: returning false stops the sweep
   /// before any of the ring's dedup/distance/sort work is spent.  The
   /// visitor may additionally return false to stop mid-ring.  Visits every
@@ -168,15 +176,29 @@ void RegionResolver::each_by_distance(const Point& p, NearScratch& scratch,
   const double min_pitch = spec_.cell_w < spec_.cell_h ? spec_.cell_w : spec_.cell_h;
 
   // A region first seen in ring r overlaps no cell of any smaller ring, so
-  // its rect — and every still-unseen rect — lies at least (r-1) cell
-  // pitches from p (p sits somewhere inside its own cell, hence the -1).
+  // its rect — and every still-unseen rect — lies beyond one of the four
+  // lines r cells out from p's cell: at least p's offset to that side of
+  // its cell plus (r-1) cell pitches away.  The offset is clamped to 0
+  // when p lies outside its (clamped) cell.  Rects are bucketed by
+  // floor((x - origin) / pitch), which can round an edge a few ulps across
+  // a cell line, so the floor gives up a slack far above that rounding.
+  const double west = spec_.plane.x + static_cast<double>(pcx) * spec_.cell_w;
+  const double south = spec_.plane.y + static_cast<double>(pcy) * spec_.cell_h;
+  const double offset = std::max(
+      0.0, std::min({p.x - west, west + spec_.cell_w - p.x, p.y - south,
+                     south + spec_.cell_h - p.y}));
+  const double slack = (std::abs(spec_.plane.x) + std::abs(spec_.plane.y) +
+                        spec_.plane.width + spec_.plane.height) *
+                       0x1p-40;
   common::FlatMap<RegionId, bool>& seen = scratch.seen;
   std::vector<Candidate>& ring_regions = scratch.ring;
   seen.clear();
   const std::size_t max_ring = spec_.dim;
   for (std::size_t ring = 0; ring <= max_ring; ++ring) {
     const double ring_floor =
-        ring == 0 ? 0.0 : (static_cast<double>(ring) - 1.0) * min_pitch;
+        ring == 0 ? 0.0
+                  : std::max(0.0, (static_cast<double>(ring) - 1.0) * min_pitch +
+                                      offset - slack);
     if (!proceed(ring_floor)) return;
     ring_regions.clear();
     for (std::size_t cx = pcx >= ring ? pcx - ring : 0;

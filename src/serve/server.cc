@@ -74,7 +74,7 @@ struct Server::Impl {
     int fd = -1;
     std::uint64_t serial = 0;
     net::FrameDecoder decoder;
-    std::vector<std::byte> out;
+    net::FrameBuffer out;
     std::size_t out_pos = 0;
     bool want_read = true;
     bool want_write = false;

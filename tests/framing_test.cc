@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <variant>
@@ -138,6 +139,28 @@ TEST(Framing, InPlaceFramesAtVarintWidthBoundaries) {
     ASSERT_EQ(message_size(reply_of(payload)), body);
     const std::size_t prefix = check(reply_of(payload)) - body;
     EXPECT_EQ(prefix, body < 128 ? 1u : body < 16384 ? 2u : 3u) << body;
+  }
+}
+
+TEST(Framing, FrameBufferFramesEveryByteWithoutZeroFill) {
+  // The server's FrameBuffer grows without zero-filling, so a byte the
+  // cursor skipped would keep whatever the spare capacity held.  Each
+  // message type is framed after a prior byte into a buffer whose spare
+  // capacity holds a non-zero pattern, without reallocating; the bytes
+  // must be exactly encode_frame's.
+  for (const Message& msg : testutil::every_message_type()) {
+    const std::vector<std::byte> want = encode_frame(msg);
+    FrameBuffer buf;
+    buf.resize(want.size() + 64, std::byte{0xa5});
+    buf.resize(1);
+    buf[0] = std::byte{0x01};
+    const std::byte* data = buf.data();
+    EXPECT_EQ(append_frame(msg, buf), want.size());
+    ASSERT_EQ(buf.data(), data) << "the frame must land in the spare bytes";
+    EXPECT_EQ(buf[0], std::byte{0x01});
+    EXPECT_TRUE(std::equal(buf.begin() + 1, buf.end(), want.begin(),
+                           want.end()))
+        << message_name(message_type(msg));
   }
 }
 

@@ -14,11 +14,13 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "mobility/query_engine.h"
 #include "mobility/sharded_directory.h"
+#include "nearest_reference.h"
 #include "net/framing.h"
 #include "overlay/partition.h"
 #include "pubsub/notification_engine.h"
@@ -441,6 +443,47 @@ TEST_P(ServeTest, MalformedFrameClosesConnectionServerSurvives) {
   c.close();
   server.stop();
   EXPECT_EQ(server.counters().malformed_frames, 2u);
+}
+
+TEST_P(ServeTest, HostileQueriesAnswerAndServerSurvives) {
+  // Queries a client can send in one frame each: a kNN with k = 2^32 - 1
+  // (nothing may be sized by k), a center far off the plane (no walk over
+  // the empty grid in between), a NaN center, and a range over +-1e10
+  // (cell coordinates past the int32 range).  Each answer must equal a
+  // brute-force scan — empty for NaN — and the server must go on serving.
+  EngineStack wired(2, 1);
+  Server server(wired.engines(), core::ServeOptions{});
+  server.start();
+  const std::vector<LocationRecord> batch = fleet_batch(100, 1);
+  Client c = make_client(server);
+  ASSERT_EQ(c.update_batch(batch), batch.size());
+
+  const auto nearest = [&batch](const Point& p, std::size_t k) {
+    return testutil::brute_nearest(batch, p, k);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Query> queries = {
+      Query::nearest(Point{32, 32}, 0xffffffffu),
+      Query::nearest(Point{1e5, 1e5}, 7),
+      Query::nearest(Point{nan, nan}, 7),
+      Query::range(Rect{-1e10, -1e10, 2e10, 2e10}),
+  };
+  const std::vector<mobility::QueryResult> got = c.query_batch(queries);
+  ASSERT_EQ(got.size(), queries.size());
+  EXPECT_EQ(got[0].records, nearest(Point{32, 32}, batch.size()));
+  EXPECT_EQ(got[1].records, nearest(Point{1e5, 1e5}, 7));
+  EXPECT_TRUE(got[2].records.empty());
+  std::vector<LocationRecord> by_id = batch;  // fleet ids ascend already
+  EXPECT_EQ(got[3].records, by_id);
+
+  Client other = make_client(server);
+  const std::vector<mobility::QueryResult> ordinary =
+      other.query_batch(std::vector<Query>{Query::nearest(Point{10, 10}, 3)});
+  ASSERT_EQ(ordinary.size(), 1u);
+  EXPECT_EQ(ordinary[0].records, nearest(Point{10, 10}, 3));
+  other.close();
+  c.close();
+  server.stop();
 }
 
 TEST_P(ServeTest, OversizedFramePrefixCutsConnection) {
