@@ -126,10 +126,11 @@ void measure(bench::Report& report, std::size_t user_count,
   sopt.ingest_flush_records =
       std::max<std::size_t>(kIngestChunk, user_count / 50);
   sopt.flush_deadline_ms = 10'000;
-  // One flushed query batch queues every reply before the next write
-  // pass; at 100k users a 2048-query batch of hot-spot range replies is
-  // megabytes, so the output gate must clear the largest reply burst or
-  // the server would cut the querier as a slow consumer mid-batch.
+  // A pooled (T > 1) query engine answers a flushed batch whole and
+  // queues every reply before the next write pass; at 100k users a
+  // 2048-query batch of hot-spot range replies is megabytes, so the output
+  // gate must clear the largest reply burst or the server would cut the
+  // querier as a slow consumer mid-batch.
   sopt.outbuf_gate_bytes = 16u << 20;
   serve::Server server({dir, queries, subs, notify}, sopt);
   server.start();

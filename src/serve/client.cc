@@ -48,6 +48,7 @@ Client::Client(Client&& other) noexcept
     : options_(std::move(other.options_)),
       fd_(std::exchange(other.fd_, -1)),
       decoder_(std::move(other.decoder_)),
+      wire_(std::move(other.wire_)),
       notifications_(std::move(other.notifications_)),
       acks_owed_(std::exchange(other.acks_owed_, 0)),
       next_id_(other.next_id_) {}
@@ -58,6 +59,7 @@ Client& Client::operator=(Client&& other) noexcept {
     options_ = std::move(other.options_);
     fd_ = std::exchange(other.fd_, -1);
     decoder_ = std::move(other.decoder_);
+    wire_ = std::move(other.wire_);
     notifications_ = std::move(other.notifications_);
     acks_owed_ = std::exchange(other.acks_owed_, 0);
     next_id_ = other.next_id_;
@@ -95,7 +97,7 @@ void Client::close() {
   fd_ = -1;
 }
 
-void Client::send_all(const std::vector<std::byte>& bytes) {
+void Client::send_all(std::span<const std::byte> bytes) {
   std::size_t sent = 0;
   while (sent < bytes.size()) {
     const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
@@ -155,15 +157,15 @@ net::Message Client::read_message() {
 
 std::size_t Client::update_batch(
     std::span<const mobility::LocationRecord> records, bool wait_acks) {
-  std::vector<std::byte> wire;
+  wire_.clear();
   for (const mobility::LocationRecord& rec : records) {
     net::LocationUpdate upd;
     upd.user = rec.user;
     upd.location = rec.position;
     upd.seq = rec.seq;
-    net::append_frame(upd, wire);
+    net::append_frame(upd, wire_);
   }
-  send_all(wire);
+  send_all(wire_);
   if (!wait_acks) {
     acks_owed_ += records.size();
     return 0;
@@ -188,7 +190,7 @@ mobility::QueryResult Client::locate(UserId user) {
 
 std::vector<mobility::QueryResult> Client::query_batch(
     std::span<const mobility::Query> queries) {
-  std::vector<std::byte> wire;
+  wire_.clear();
   std::vector<std::uint64_t> ids;
   ids.reserve(queries.size());
   for (const mobility::Query& q : queries) {
@@ -199,14 +201,14 @@ std::vector<mobility::QueryResult> Client::query_batch(
         net::LocateRequest req;
         req.request_id = id;
         req.user = q.user;
-        net::append_frame(req, wire);
+        net::append_frame(req, wire_);
         break;
       }
       case mobility::Query::Kind::kRange: {
         net::LocationQuery req;
         req.query_id = id;
         req.area = q.rect;
-        net::append_frame(req, wire);
+        net::append_frame(req, wire_);
         break;
       }
       case mobility::Query::Kind::kNearest: {
@@ -214,12 +216,12 @@ std::vector<mobility::QueryResult> Client::query_batch(
         req.query_id = id;
         req.center = q.point;
         req.k = q.k;
-        net::append_frame(req, wire);
+        net::append_frame(req, wire_);
         break;
       }
     }
   }
-  send_all(wire);
+  send_all(wire_);
 
   std::vector<mobility::QueryResult> results;
   results.reserve(queries.size());

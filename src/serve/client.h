@@ -104,11 +104,13 @@ class Client {
   /// Feeds one recv() into the decoder.  Without `wait` it returns false
   /// when nothing is readable; throws on EOF or a recv() error.
   bool receive(bool wait);
-  void send_all(const std::vector<std::byte>& bytes);
+  void send_all(std::span<const std::byte> bytes);
 
   Options options_{};
   int fd_ = -1;
   net::FrameDecoder decoder_;
+  /// Request frames of the current call; cleared per call, capacity kept.
+  net::FrameBuffer wire_;
   std::vector<net::Notify> notifications_;
   std::size_t acks_owed_ = 0;  ///< acks of unawaited update batches
   std::uint64_t next_id_ = 1;
