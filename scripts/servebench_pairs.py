@@ -13,10 +13,15 @@ JSON) is read; nothing under servebench/ is touched.
 
 For each end-to-end metric of that BENCHMARK.json it prints
 each side's median and quartiles, the change/parent ratio of the medians,
-the number of pairs in which the change read lower, and whether the gap
-between the medians exceeds the parent's interquartile range.  It exits
-non-zero when any run fails, is not `correct`, or reports `failed > 0`.
-It gates nothing: reading the table is the caller's job.
+the number of pairs in which the change read better (in the metric's
+`better` direction), whether the gap between the medians exceeds the
+parent's interquartile range, and that range as a share of the parent's
+median.  A metric is marked `unresolved` when that share exceeds the
+metric's `bound` and the two sides' runs overlap: the parent's own spread
+is then wider than the change the bound allows, and only a change whose
+every run lies beyond every parent run can be read.  It exits non-zero
+when any run fails, is not `correct`, or reports `failed > 0`.  It gates
+nothing: reading the table is the caller's job.
 """
 
 import argparse
@@ -56,13 +61,18 @@ def quartiles(values):
 
 
 def benchmark_spec(tree):
-    """(run seconds, end-to-end metric names) from the tree's BENCHMARK.json."""
+    """(run seconds, {end-to-end metric name: (bound, better)}) from the
+    tree's BENCHMARK.json."""
     path = os.path.join(tree, "BENCHMARK.json")
     try:
         with open(path) as f:
             spec = json.load(f)
-        return spec["run_seconds"], [m["name"] for m in spec["end_to_end"]]
-    except (OSError, KeyError, TypeError, json.JSONDecodeError) as e:
+        metrics = {m["name"]: (float(m["bound"]), m["better"])
+                   for m in spec["end_to_end"]}
+        if any(b not in ("lower", "higher") for _, b in metrics.values()):
+            raise ValueError("better must be lower or higher")
+        return spec["run_seconds"], metrics
+    except (OSError, KeyError, TypeError, ValueError) as e:
         sys.exit(f"cannot read run_seconds and end_to_end from {path}: {e!r}")
 
 
@@ -76,7 +86,8 @@ def main():
     a = p.parse_args()
     trees = {"parent": os.path.abspath(a.parent),
              "change": os.path.abspath(a.change)}
-    seconds, names = benchmark_spec(trees["change"])
+    seconds, spec = benchmark_spec(trees["change"])
+    names = list(spec)
 
     # One short run per tree first: it builds the benchmark, so no timed
     # pair pays for a compile, and it fails fast on a wrong answer.
@@ -113,22 +124,28 @@ def main():
     print(f"\n{a.workload} seed {a.seed}, {a.pairs} pairs, "
           f"--seconds {seconds} --trace 0")
     print(f"{'metric':<16} {'parent median [q1-q3]':<28} "
-          f"{'change median [q1-q3]':<28} {'ratio':>7} {'lower':>7} "
-          f"{'gap>IQR':>8}")
+          f"{'change median [q1-q3]':<28} {'ratio':>7} {'better':>7} "
+          f"{'gap>IQR':>8} {'IQR/med':>8} {'bound':>6}")
     for n in names:
         par, chg = values["parent"][n], values["change"][n]
         if not par or not chg:
             continue
+        bound, better = spec[n]
         pm, cm = statistics.median(par), statistics.median(chg)
         pq1, pq3 = quartiles(par)
         cq1, cq3 = quartiles(chg)
         pairs = list(zip(par, chg))
-        lower = sum(1 for x, y in pairs if y < x)
+        won = sum(1 for x, y in pairs if (y < x if better == "lower"
+                                          else y > x))
         ratio = cm / pm if pm else float("nan")
         gap = abs(cm - pm) > (pq3 - pq1)
+        spread = (pq3 - pq1) / abs(pm) if pm else float("inf")
+        overlap = max(chg) >= min(par) and min(chg) <= max(par)
         print(f"{n:<16} {f'{pm:.4g} [{pq1:.4g}-{pq3:.4g}]':<28} "
               f"{f'{cm:.4g} [{cq1:.4g}-{cq3:.4g}]':<28} {ratio:>7.3f} "
-              f"{f'{lower}/{len(pairs)}':>7} {'yes' if gap else 'no':>8}")
+              f"{f'{won}/{len(pairs)}':>7} {'yes' if gap else 'no':>8} "
+              f"{spread:>8.1%} {bound:>6.0%}"
+              f"{'  unresolved' if spread > bound and overlap else ''}")
     if problems:
         print("\n" + "\n".join(problems), file=sys.stderr)
         sys.exit(1)

@@ -181,8 +181,8 @@ void ShardedDirectory::drain_queues() {
 void ShardedDirectory::apply(StoreMap& stores, const ShardOp& op) const {
   switch (op.kind) {
     case ShardOp::Kind::kIngest:
-      stores.try_emplace(op.region, LocationStore(cell_size_))
-          .first->ingest(op.rec);
+      // The store is built only when the region is new to this map.
+      stores.try_emplace(op.region, cell_size_).first->ingest(op.rec);
       break;
     case ShardOp::Kind::kEvict:
       if (LocationStore* store = stores.find(op.region)) {

@@ -17,11 +17,13 @@
 //      the shared overlay::RegionResolver against a frozen per-user
 //      {region, seq} memo: when the cached region's rect still covers the
 //      new position (the overwhelmingly common case — a user rarely leaves
-//      its region between reports) the partition walk is skipped entirely.
-//      The resolver invalidates on Partition::geometry_version(), so
-//      splits/merges are observed at the next batch.  Resolution is a pure
-//      function of the frozen state, so the result is independent of how
-//      records are chunked over threads.
+//      its region between reports) that is one rect test.  A crossing or a
+//      new user is answered from the resolver's region grid; greedy
+//      descent over the partition only breaks a tie on a shared edge or
+//      corner.  The resolver invalidates on Partition::geometry_version(),
+//      so splits/merges are observed at the next batch.  Resolution is a
+//      pure function of the frozen state, so the result is independent of
+//      how records are chunked over threads.
 //   B. dispatch (serial) — the seq guard filters stale/replayed records
 //      against the per-user memo, boundary crossings enqueue a small
 //      eviction message to the shard owning the user's previous region,

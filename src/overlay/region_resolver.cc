@@ -46,20 +46,45 @@ void RegionResolver::rebuild() {
 
 RegionId RegionResolver::resolve(const Point& p, RegionId hint,
                                  bool* fast) const {
-  if (hint.valid()) {
-    if (const Rect* r = rects_.find(hint)) {
-      if (r->covers_inclusive(p)) {
-        // Same answer Partition::locate(p, hint) would give — greedy
-        // descent stops immediately when the start region covers the
-        // target — minus the partition's hash-map traffic.
-        *fast = true;
-        return hint;
-      }
-      return partition_.locate(p, hint);
-    }
-    // Region retired since the last refresh: cold locate.
+  if (const Rect* r = rects_.find(hint);
+      r != nullptr && r->covers_inclusive(p)) {
+    // Same answer Partition::locate(p, hint) would give — greedy descent
+    // stops immediately when the start region covers the target — minus
+    // the partition's hash-map traffic.
+    *fast = true;
+    return hint;
   }
-  return partition_.locate(p);
+  // A crossing, a new user, or a hint retired since the last refresh.
+  // Greedy descent returns the first covering region it visits, and over
+  // the connected tiling it visits every region before it gives up, so a
+  // region that alone covers p is its answer from any start.  A tie or a
+  // point nothing covers goes to the walk itself.
+  if (const RegionId sole = sole_cover(p); sole.valid()) return sole;
+  return partition_.locate(p, hint);
+}
+
+RegionId RegionResolver::sole_cover(const Point& p) const {
+  if (rects_.empty()) return kInvalidRegion;
+  // A rect covers_inclusive(p) when p lies within kGeoEps of it, and it is
+  // bucketed by the same monotone cell mapping as the band below, so a
+  // band of kGeoEps plus the rounding slack either way of p meets every
+  // covering rect's cells.  Clamping keeps off-plane and non-finite
+  // points in the border cells, where nothing covers them.
+  const double pad = kGeoEps + rounding_slack();
+  const std::size_t x1 = spec_.cell_x(p.x + pad);
+  const std::size_t y0 = spec_.cell_y(p.y - pad);
+  const std::size_t y1 = spec_.cell_y(p.y + pad);
+  RegionId found = kInvalidRegion;
+  for (std::size_t cx = spec_.cell_x(p.x - pad); cx <= x1; ++cx) {
+    for (std::size_t cy = y0; cy <= y1; ++cy) {
+      for (const RegionId id : grid_[spec_.index(cx, cy)]) {
+        if (id == found || !rects_.find(id)->covers_inclusive(p)) continue;
+        if (found.valid()) return kInvalidRegion;  // a tie
+        found = id;
+      }
+    }
+  }
+  return found;
 }
 
 void RegionResolver::intersecting(const Rect& rect,

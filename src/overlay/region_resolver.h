@@ -13,9 +13,13 @@
 //   * resolve(p, hint)     — the write path's target resolution: when the
 //     hinted region's memoized rect still covers p (the overwhelmingly
 //     common case for a mobile user between reports) the answer is one
-//     rect-cover test; otherwise it falls back to the partition's greedy
-//     locate, preserving its exact semantics (including the inclusive
-//     cover tolerance on plane borders).
+//     rect-cover test.  A crossing or a new user is answered from the
+//     grid: the regions bucketed in p's cells are cover-tested, and when
+//     exactly one covers p that region is the answer, the one greedy
+//     descent would reach from any start.  Only when none or several
+//     cover p (off the plane, non-finite, or within kGeoEps of a shared
+//     edge or corner) does the partition's greedy locate break the tie,
+//     so every answer is exactly the partition's.
 //   * intersecting(rect)   — the range-query region set (intersection or
 //     edge adjacency, matching region/record edge semantics), found by
 //     probing only the grid cells the rect covers instead of scanning all
@@ -106,8 +110,9 @@ class RegionResolver {
 
   /// The region covering `p`, resolved through the `hint` fast path: when
   /// the hinted region's rect still covers p the partition is never
-  /// touched and *fast is set.  Falls back to Partition::locate (greedy
-  /// descent from the hint) so the answer is exactly the partition's.
+  /// touched and *fast is set.  Otherwise the grid answers when exactly
+  /// one region covers p, and Partition::locate (greedy descent from the
+  /// hint) breaks ties, so the answer is exactly the partition's.
   RegionId resolve(const Point& p, RegionId hint, bool* fast) const;
 
   /// All regions whose rect intersects `rect` or is edge-adjacent to it
@@ -155,6 +160,18 @@ class RegionResolver {
  private:
   void rebuild();
 
+  /// The one region whose rect covers_inclusive(p), or kInvalidRegion when
+  /// none or several do.
+  RegionId sole_cover(const Point& p) const;
+
+  /// Far above the rounding of any coordinate on the plane, which can
+  /// move a rect edge a few ulps across a cell line when it is bucketed.
+  double rounding_slack() const noexcept {
+    return (std::abs(spec_.plane.x) + std::abs(spec_.plane.y) +
+            spec_.plane.width + spec_.plane.height) *
+           0x1p-40;
+  }
+
   const Partition& partition_;
   std::uint64_t version_ = ~std::uint64_t{0};
   common::FlatMap<RegionId, Rect> rects_;
@@ -187,9 +204,7 @@ void RegionResolver::each_by_distance(const Point& p, NearScratch& scratch,
   const double offset = std::max(
       0.0, std::min({p.x - west, west + spec_.cell_w - p.x, p.y - south,
                      south + spec_.cell_h - p.y}));
-  const double slack = (std::abs(spec_.plane.x) + std::abs(spec_.plane.y) +
-                        spec_.plane.width + spec_.plane.height) *
-                       0x1p-40;
+  const double slack = rounding_slack();
   common::FlatMap<RegionId, bool>& seen = scratch.seen;
   std::vector<Candidate>& ring_regions = scratch.ring;
   seen.clear();

@@ -33,10 +33,13 @@
 // same UniformGridSpec math as overlay::RegionResolver so every spatial
 // index in the codebase buckets coordinates identically.  Each grid cell
 // keeps its columns sorted by id; a rect is inserted into every cell it
-// touches, and the half-open Rect::covers test (the region algebra's own
-// predicate, also what LocationStore::range uses) means a point probe
-// needs exactly one cell — the candidates arrive pre-sorted and covering()
-// never sorts or deduplicates.  Friend subscriptions skip the grid
+// touches, and the half-open Rect::covers test (open on the west and
+// south edges, closed on the east and north) means a point probe needs
+// exactly one cell — the candidates arrive pre-sorted and covering()
+// never sorts or deduplicates.  This is not LocationStore::range's rule:
+// range keeps the closed band Rect::covers_inclusive accepts, so a range
+// query and a geofence over one rect disagree about users on its west and
+// south edges (ROADMAP item 7).  Friend subscriptions skip the grid
 // entirely and index by the tracked user id.
 //
 // Like the resolver, the index is a refresh-then-read structure: refresh()

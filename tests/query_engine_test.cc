@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -678,6 +679,167 @@ TEST(RegionResolver, MatchesBruteForceDiscovery) {
     EXPECT_TRUE(fast);
     EXPECT_EQ(hinted, cold);
   }
+
+  // It agrees at every edge, corner and tie too, where two or four closed
+  // rects cover a point and greedy descent keeps the first it reaches.
+  // Probes: each region's corners and edge midpoints, the crossings of
+  // region edges that lie on resolver grid lines with the perpendicular
+  // lines, and the plane's corners, each exact, at +-kGeoEps and at one
+  // ulp either side of both: per axis at a corner or crossing, across the
+  // edge at a midpoint.  Then off-plane and non-finite points.  Hints:
+  // none, a retired id, and for a probe named by a region that region,
+  // its neighbours and the region across the plane.  Over 300 regions (an
+  // 18 x 18 grid) and over 16 (a 4 x 4 grid, whose lines many region
+  // edges lie on).
+  struct alignas(64) Tally {  // one cacheline per worker
+    std::size_t checks = 0;
+    std::size_t ties = 0;
+    std::size_t mismatches = 0;
+  };
+  Tally total;
+  const auto probe_partition = [&](std::size_t count) {
+    // The newest region merged back into a neighbour leaves a retired id.
+    overlay::Partition tiles = make_partition(count + 1);
+    const RegionId retired{static_cast<std::uint32_t>(count)};
+    for (const RegionId n : tiles.neighbors(retired)) {
+      if (tiles.region(n).rect.mergeable(tiles.region(retired).rect)) {
+        tiles.merge(n, retired);
+        break;
+      }
+    }
+    ASSERT_EQ(tiles.region_count(), count);
+    overlay::RegionResolver tile_resolver(tiles);
+    tile_resolver.refresh();
+    std::size_t dim = 1;
+    while (dim * dim < count) ++dim;
+    const auto spec = overlay::UniformGridSpec::over(kPlane, dim);
+
+    // A point shared by several regions is probed once, under all their
+    // hints, and along each axis any of them moves it on.
+    struct Probe {
+      std::vector<RegionId> hints;
+      bool vary_x = false;
+      bool vary_y = false;
+    };
+    std::map<std::pair<double, double>, Probe> probes;
+    const auto probe = [&probes](double x, double y, bool vary_x, bool vary_y,
+                                 const std::vector<RegionId>& hints) {
+      Probe& pr = probes[{x, y}];
+      pr.hints.insert(pr.hints.end(), hints.begin(), hints.end());
+      pr.vary_x = pr.vary_x || vary_x;
+      pr.vary_y = pr.vary_y || vary_y;
+    };
+    for (const auto& [id, region] : tiles.regions()) {
+      const Rect& r = region.rect;
+      const Point c = r.center();
+      std::vector<RegionId> hints = tiles.neighbors(id);
+      hints.push_back(id);
+      for (const double x : {r.x, r.right()}) {
+        for (const double y : {r.y, r.top()}) probe(x, y, true, true, hints);
+        probe(x, c.y, true, false, hints);
+      }
+      for (const double y : {r.y, r.top()}) probe(c.x, y, false, true, hints);
+      for (std::size_t j = 1; j < dim; ++j) {
+        for (std::size_t k = 1; k < dim; ++k) {
+          const double gx = static_cast<double>(j) * spec.cell_w;
+          const double gy = static_cast<double>(k) * spec.cell_h;
+          if ((gx == r.x || gx == r.right()) && r.y < gy && gy < r.top()) {
+            probe(gx, gy, true, true, hints);
+          }
+          if ((gy == r.y || gy == r.top()) && r.x < gx && gx < r.right()) {
+            probe(gx, gy, true, true, hints);
+          }
+        }
+      }
+    }
+    const RegionId any = tiles.regions().begin()->first;
+    for (const double x : {0.0, 64.0}) {
+      for (const double y : {0.0, 64.0}) probe(x, y, true, true, {any});
+    }
+
+    const auto check = [&](const Point& p, const std::vector<RegionId>& hints,
+                           Tally& tally) {
+      std::size_t covers = 0;
+      for (const auto& [id, region] : tiles.regions()) {
+        covers += region.rect.covers_inclusive(p) ? 1 : 0;
+      }
+      tally.ties += covers > 1 ? 1 : 0;
+      const auto expect = [&](RegionId hint, RegionId want) {
+        bool fast = false;
+        const RegionId answer = tile_resolver.resolve(p, hint, &fast);
+        ++tally.checks;
+        const bool hit = tiles.has_region(hint) &&
+                         tiles.region(hint).rect.covers_inclusive(p);
+        if ((answer != want || fast != hit) && tally.mismatches++ < 5) {
+          ADD_FAILURE() << count << " regions, point (" << p.x << ", " << p.y
+                        << ") hint " << hint << ": resolve " << answer
+                        << (fast ? " fast" : "") << ", locate " << want
+                        << ", " << covers << " regions cover it";
+        }
+      };
+      // Partition::locate starts a walk from a retired hint where it
+      // starts one with none, so the two share a walk.
+      const RegionId cold = tiles.locate(p);
+      expect(kInvalidRegion, cold);
+      expect(retired, cold);
+      for (const RegionId hint : hints) expect(hint, tiles.locate(p, hint));
+    };
+    const auto near = [](double v) {
+      std::vector<double> out;
+      for (const double b : {v - kGeoEps, v, v + kGeoEps}) {
+        out.insert(out.end(),
+                   {std::nextafter(b, -1e9), b, std::nextafter(b, 1e9)});
+      }
+      return out;
+    };
+    std::vector<std::pair<Point, const std::vector<RegionId>*>> points;
+    for (auto& [xy, pr] : probes) {
+      std::vector<RegionId>& hints = pr.hints;
+      hints.push_back(tiles.locate(Point{64.0 - xy.first, 64.0 - xy.second}));
+      std::sort(hints.begin(), hints.end());
+      hints.erase(std::unique(hints.begin(), hints.end()), hints.end());
+      const auto xs = pr.vary_x ? near(xy.first) : std::vector{xy.first};
+      const auto ys = pr.vary_y ? near(xy.second) : std::vector{xy.second};
+      for (const double x : xs) {
+        for (const double y : ys) points.emplace_back(Point{x, y}, &hints);
+      }
+    }
+    const std::vector<RegionId> off_plane_hints = {any};
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    for (const Point& p :
+         {Point{-3.0, 20.0}, Point{70.0, 70.0}, Point{1e5, -1e5},
+          Point{32.0, 1e9}, Point{-2e-9, 10.0}, Point{10.0, 64.0 + 2e-9},
+          Point{kNaN, 5.0}, Point{5.0, kNaN}, Point{kNaN, kNaN},
+          Point{kInf, 5.0}, Point{5.0, -kInf}, Point{-kInf, kInf},
+          Point{kInf, kNaN}}) {
+      points.emplace_back(p, &off_plane_hints);
+    }
+    // Greedy walks dominate the test's time, and resolve and locate only
+    // read, so four threads share the points.
+    constexpr std::size_t kWorkers = 4;
+    std::vector<Tally> tallies(kWorkers);
+    std::vector<std::thread> workers;
+    for (std::size_t w = 0; w < kWorkers; ++w) {
+      workers.emplace_back([&, w] {
+        for (std::size_t i = w; i < points.size(); i += kWorkers) {
+          check(points[i].first, *points[i].second, tallies[w]);
+        }
+      });
+    }
+    for (std::thread& t : workers) t.join();
+    for (const Tally& t : tallies) {
+      total.checks += t.checks;
+      total.ties += t.ties;
+      total.mismatches += t.mismatches;
+    }
+  };
+  probe_partition(300);
+  probe_partition(16);
+  EXPECT_EQ(total.mismatches, 0u) << "of " << total.checks << " checks";
+  // Many probes lie where two or more regions cover them.
+  EXPECT_GT(total.checks, 600'000u);
+  EXPECT_GT(total.ties, 40'000u);
 }
 
 TEST(RegionResolver, RingFloorBoundsEveryUnvisitedRegion) {
