@@ -8,8 +8,9 @@ Each tree is a checkout of the repository (the parent commit and the
 change).  Every pair runs `servebench/run.py --seconds <s> --trace 0` once
 in each tree, alternating which side goes first, so drift over the period
 falls on both sides alike; <s> is the change tree's BENCHMARK.json
-`run_seconds` (10).  Only the last line of run.py's output (the result
-JSON) is read; nothing under servebench/ is touched.
+`run_seconds` (10).  Of run.py's output it reads the last line (the
+result JSON) and the `served ... wire bytes N` count line, which every
+run prints, traced or not; nothing under servebench/ is touched.
 
 For each end-to-end metric of that BENCHMARK.json it prints
 each side's median and quartiles, the change/parent ratio of the medians,
@@ -19,7 +20,10 @@ parent's interquartile range, and that range as a share of the parent's
 median.  A metric is marked `unresolved` when that share exceeds the
 metric's `bound` and the two sides' runs overlap: the parent's own spread
 is then wider than the change the bound allows, and only a change whose
-every run lies beyond every parent run can be read.  It exits non-zero
+every run lies beyond every parent run can be read.  It then prints each
+side's distinct served wire-byte counts and whether the two sides' counts
+differ: a change meant to keep the wire bytes should show one value on
+each side, the same one.  It exits non-zero
 when any run fails, is not `correct`, or reports `failed > 0`.  It gates
 nothing: reading the table is the caller's job.
 """
@@ -27,30 +31,46 @@ nothing: reading the table is the caller's job.
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 
+SERVED_BYTES = re.compile(r"^\s*served\b.*\bwire bytes (\d+)\s*$")
+
+
+def served_wire_bytes(lines):
+    """The N of the run's `served ... wire bytes N` line, or None."""
+    for line in lines:
+        m = SERVED_BYTES.match(line)
+        if m:
+            return int(m.group(1))
+    return None
+
 
 def run_once(tree, workload, seed, seconds):
-    """One run.py invocation in `tree`; returns (result dict, problem)."""
+    """One run.py invocation in `tree`; returns (result dict, served wire
+    bytes, problem)."""
     cmd = [sys.executable, os.path.join("servebench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.rstrip("\n").split("\n")
+    wire = served_wire_bytes(lines)
     try:
         result = json.loads(lines[-1])
     except (json.JSONDecodeError, IndexError):
         tail = proc.stderr.strip().split("\n")[-3:]
-        return None, f"exit {proc.returncode}, no result ({' | '.join(tail)})"
+        return None, wire, (f"exit {proc.returncode}, no result "
+                            f"({' | '.join(tail)})")
     if proc.returncode != 0:
-        return result, f"exit {proc.returncode}"
+        return result, wire, f"exit {proc.returncode}"
     if not result.get("correct", False):
-        return result, "not correct"
+        return result, wire, "not correct"
     if result.get("failed", 0) > 0:
-        return result, f"failed {result['failed']} of {result.get('attempted')}"
-    return result, None
+        return result, wire, (f"failed {result['failed']} of "
+                              f"{result.get('attempted')}")
+    return result, wire, None
 
 
 def quartiles(values):
@@ -93,7 +113,7 @@ def main():
     # pair pays for a compile, and it fails fast on a wrong answer.
     problems = []
     for side, tree in trees.items():
-        _, problem = run_once(tree, a.workload, a.seed, 1)
+        _, _, problem = run_once(tree, a.workload, a.seed, 1)
         if problem:
             problems.append(f"{side} warm-up: {problem}")
     if problems:
@@ -101,14 +121,17 @@ def main():
         sys.exit(1)
 
     values = {side: {n: [] for n in names} for side in trees}
+    wire = {side: set() for side in trees}
     for i in range(a.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         row = []
         for side in order:
-            result, problem = run_once(trees[side], a.workload, a.seed,
-                                       seconds)
+            result, served, problem = run_once(trees[side], a.workload,
+                                               a.seed, seconds)
             if problem:
                 problems.append(f"pair {i + 1} {side}: {problem}")
+            if served is not None:
+                wire[side].add(served)
             if result is None:
                 continue
             metrics = result["metrics"]
@@ -146,6 +169,10 @@ def main():
               f"{f'{won}/{len(pairs)}':>7} {'yes' if gap else 'no':>8} "
               f"{spread:>8.1%} {bound:>6.0%}"
               f"{'  unresolved' if spread > bound and overlap else ''}")
+    print("\nserved wire bytes: " + "; ".join(
+        f"{side} {', '.join(str(b) for b in sorted(wire[side])) or 'none'}"
+        for side in trees) +
+          f" ({'differ' if wire['parent'] != wire['change'] else 'same'})")
     if problems:
         print("\n" + "\n".join(problems), file=sys.stderr)
         sys.exit(1)

@@ -36,7 +36,7 @@ std::string render_partition(const Rect& plane,
       const Point p{x, y};
       char c = '?';
       for (const auto& r : regions) {
-        if (!r.rect.covers_inclusive(p)) continue;
+        if (!r.rect.owns(p, plane)) continue;
         // Mark cells near a region border so the partition is visible.
         const double dx = std::min(p.x - r.rect.x, r.rect.right() - p.x);
         const double dy = std::min(p.y - r.rect.y, r.rect.top() - p.y);

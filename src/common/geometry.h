@@ -5,16 +5,24 @@
 // per owner node.  This header provides the exact region algebra the paper
 // relies on:
 //
-//  * the half-open cover test  (r.x < o.x <= r.x+w) && (r.y < o.y <= r.y+h)
+//  * the half-open cover test  (r.x < o.x <= r.x+w) && (r.y < o.y <= r.y+h),
+//    the one point-in-rect rule: range queries, subscriptions and region
+//    ownership all use it, ownership with the plane's own west and south
+//    borders closed (Rect::owns), so every point of the closed plane has
+//    exactly one owning region and no point off it has any
 //  * edge adjacency ("two regions are neighbors when their intersection is a
 //    line segment")
 //  * half-splits along alternating dimensions and the inverse merge
 //
 // All coordinates are in miles on the simulated plane (the paper evaluates a
 // 64 x 64 mile metropolitan area), stored as doubles.  Splits always halve a
-// side, so every region produced from a power-of-two plane is exactly
-// representable; nevertheless all comparisons accept a small absolute
-// tolerance (kGeoEps) to stay robust under arbitrary plane sizes.
+// side, so on a plane whose corners and sides are short binary fractions
+// (64 x 64, 100 x 100) every region edge is exact and neighbors share the
+// very double of their common edge: covers, owns and meets compare with no
+// tolerance.  On other planes a deep split's far edge can round one ulp
+// away from its neighbor's.  The area and adjacency relations the overlay
+// maintains (intersects, edge_adjacent, mergeable) accept a small absolute
+// tolerance (kGeoEps).
 #pragma once
 
 #include <cmath>
@@ -79,17 +87,26 @@ struct Rect {
   /// The paper's cover test: strictly greater than the west/south edge,
   /// less-or-equal the east/north edge.  With this convention a point on a
   /// shared edge belongs to exactly one of the adjacent regions, so the
-  /// partition stays a function.
+  /// partition stays a function.  A NaN coordinate is covered by nothing.
   bool covers(const Point& o) const noexcept {
     return x < o.x && o.x <= right() && y < o.y && o.y <= top();
   }
 
-  /// Cover test with tolerance for the plane's own west/south border, so the
-  /// root region covers points lying exactly on the plane boundary.  Every
-  /// point covers() accepts is accepted here too.
-  bool covers_inclusive(const Point& o) const noexcept {
-    return x - kGeoEps <= o.x && o.x <= right() + kGeoEps &&
-           y - kGeoEps <= o.y && o.y <= top() + kGeoEps;
+  /// Region ownership: covers(o), with this rect's west (south) edge closed
+  /// where it lies on the west (south) border of `plane`, the rect the
+  /// regions tile.  Every point of the closed plane is owned by exactly one
+  /// region of the tiling and no point off it (or NaN) by any, so a point
+  /// names its region without a tie to break.
+  bool owns(const Point& o, const Rect& plane) const noexcept {
+    return (x < o.x || (o.x == x && x == plane.x)) && o.x <= right() &&
+           (y < o.y || (o.y == y && y == plane.y)) && o.y <= top();
+  }
+
+  /// True when the closed rectangles share at least one point: an overlap,
+  /// a shared edge or a shared corner.  Exact, with no tolerance: a region
+  /// that owns a point `r` covers meets `r`.
+  bool meets(const Rect& r) const noexcept {
+    return x <= r.right() && r.x <= right() && y <= r.top() && r.y <= top();
   }
 
   /// True when the rectangles overlap with positive area.

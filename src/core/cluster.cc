@@ -65,7 +65,7 @@ GeoGridNode* Cluster::primary_covering(const Point& p) {
   for (auto& node : nodes_) {
     for (const auto& [rid, region] : node->owned()) {
       if (!region.is_primary()) continue;
-      if (region.rect.covers_inclusive(p)) {
+      if (region.rect.owns(p, options_.node.plane)) {
         if (found != nullptr) return nullptr;  // ambiguous
         found = node.get();
       }

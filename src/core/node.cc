@@ -150,7 +150,7 @@ void GeoGridNode::split_region(
         hand_over) {
   const Axis axis = overlay::split_axis_for_depth(region.split_depth);
   const auto [low, high] = region.rect.split(axis);
-  const bool keep_low = low.covers_inclusive(self_.coord);
+  const bool keep_low = low.owns(self_.coord, config_.plane);
 
   const std::map<RegionId, RegionSnapshot> old_neighbors = region.neighbors;
   region.rect = keep_low ? low : high;
@@ -356,7 +356,7 @@ void GeoGridNode::drop_seat(RegionId region) {
 
 OwnedRegion* GeoGridNode::covering_region(const Point& p) {
   for (auto& [rid, region] : owned_) {
-    if (region.rect.covers_inclusive(p)) {
+    if (region.rect.owns(p, config_.plane)) {
       return &region;
     }
   }
@@ -387,7 +387,8 @@ void GeoGridNode::route_or_handle(net::Routed env) {
       snaps.push_back(&snap);
     }
   }
-  const auto next = overlay::greedy_next(candidates, env.target);
+  const auto next =
+      overlay::greedy_next(candidates, env.target, config_.plane);
   if (!next) {
     // Transient while neighbor tables converge after a join or repair; the
     // sender retries (joins re-bootstrap, queries are re-issued by apps).
@@ -554,7 +555,7 @@ void GeoGridNode::handle_publish(const net::Publish& p) {
   prune_expired_subscriptions(*covering);
   for (const auto& stored : covering->subscriptions) {
     const net::Subscribe& sub = stored.sub;
-    const bool in_area = sub.area.covers_inclusive(p.location);
+    const bool in_area = sub.area.covers(p.location);
     const bool topic_ok = sub.filter.empty() || sub.filter == p.topic;
     if (in_area && topic_ok) {
       network_.send(self_.id, sub.subscriber.id,
@@ -614,7 +615,8 @@ void GeoGridNode::handle_location_update(const net::LocationUpdate& m) {
   // Boundary crossing: the record moved here with the update; evict the
   // stale copy from the old owning region (routed toward the previous
   // position, so splits/merges/fail-overs en route cannot strand it).
-  if (m.prev_location && !region.rect.covers_inclusive(*m.prev_location)) {
+  if (m.prev_location &&
+      !region.rect.owns(*m.prev_location, config_.plane)) {
     ++counters_.user_handoffs;
     route_or_handle(net::make_routed(*m.prev_location,
                                      net::UserHandoff{m.user, m.seq,
@@ -630,11 +632,11 @@ void GeoGridNode::notify_presence(OwnedRegion& region,
   for (const auto& stored : region.subscriptions) {
     const net::Subscribe& sub = stored.sub;
     if (!sub.filter.empty() && sub.filter != kPresenceTopic) continue;
-    const bool now_inside = sub.area.covers_inclusive(m.location);
+    const bool now_inside = sub.area.covers(m.location);
     if (!now_inside) continue;
     // Duplicate suppression: a user wandering *inside* the subscribed area
     // already fired when it entered; only the crossing notifies.
-    if (m.prev_location && sub.area.covers_inclusive(*m.prev_location)) {
+    if (m.prev_location && sub.area.covers(*m.prev_location)) {
       continue;
     }
     net::Notify n;

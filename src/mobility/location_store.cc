@@ -207,16 +207,17 @@ std::vector<LocationRecord> LocationStore::range(const Rect& rect) const {
 
 void LocationStore::range_into(const Rect& rect,
                                std::vector<LocationRecord>& out) const {
-  // The accept test is covers_inclusive(p): the closed band below, which is
-  // exactly the branch-free test both paths compute.
-  const double x_lo = rect.x - kGeoEps;
-  const double x_hi = rect.right() + kGeoEps;
-  const double y_lo = rect.y - kGeoEps;
-  const double y_hi = rect.top() + kGeoEps;
-  if (users_.empty() || !(x_lo <= x_hi && y_lo <= y_hi)) return;
-  // Cells come from the band, not the rect: a hit up to kGeoEps west of a
-  // rect edge lying on a cell edge is bucketed in the cell before it.
-  // The walk counts in 64 bits: a band in the saturated end cell has
+  // The accept test is rect.covers(p), x_lo < px <= x_hi and
+  // y_lo < py <= y_hi, which is exactly the branch-free test both paths
+  // compute.
+  const double x_lo = rect.x;
+  const double x_hi = rect.right();
+  const double y_lo = rect.y;
+  const double y_hi = rect.top();
+  if (users_.empty() || !(x_lo < x_hi && y_lo < y_hi)) return;
+  // Points are bucketed by the same monotone floor as the edges, so every
+  // hit lies in a cell of [cell(lo), cell(hi)] on each axis.  The walk
+  // counts in 64 bits: a rect in the saturated end cell has
   // cx1 == INT32_MAX, and an int32 counter would overflow stepping past it.
   const std::int64_t cx0 = cell_coord(x_lo);
   const std::int64_t cx1 = cell_coord(x_hi);
@@ -239,7 +240,7 @@ void LocationStore::range_into(const Rect& rect,
     const std::size_t n = users_.size();
     for (std::size_t base = 0; base < n; base += kChunk) {
       const std::size_t len = std::min(kChunk, n - base);
-      const std::size_t found = common::filter_points_in_band(
+      const std::size_t found = common::filter_points_in_rect(
           xs_.data() + base, ys_.data() + base, len, x_lo, x_hi, y_lo, y_hi,
           hits);
       for (std::size_t j = 0; j < found; ++j) {
@@ -266,8 +267,8 @@ void LocationStore::range_into(const Rect& rect,
           const double px = xs_[slot];
           const double py = ys_[slot];
           slots[n] = slot;
-          n += static_cast<std::size_t>((x_lo <= px) & (px <= x_hi) &
-                                        (y_lo <= py) & (py <= y_hi));
+          n += static_cast<std::size_t>((x_lo < px) & (px <= x_hi) &
+                                        (y_lo < py) & (py <= y_hi));
         }
         for (std::size_t j = 0; j < n; ++j) out.push_back(record_at(slots[j]));
       }

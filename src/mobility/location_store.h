@@ -88,16 +88,12 @@ class NearestSet {
   /// enter: kth() widened by far more than the rounding of any bound (a
   /// cell or rect distance differs from a record's own distance() by a few
   /// ulps).  Pruning on `bound > reach()` therefore never drops a record
-  /// whose distance() would tie or beat the k-th best.
+  /// whose distance() would tie or beat the k-th best.  A region's rect
+  /// distance is such a bound: a record lies in its owner's closed rect.
   double reach() const noexcept {
     const double kth = this->kth();
     return kth + (kth * 0x1p-40 + 0x1p-1000);
   }
-
-  /// reach() for a bound on a region's rect rather than on a store cell:
-  /// the inclusive cover test routes a record up to kGeoEps outside its
-  /// region's rect, so the reach widens by twice that.
-  double region_reach() const noexcept { return reach() + 2 * kGeoEps; }
 
   /// True when a record at `dist` with id `user` enters: the set is not
   /// full yet, or it precedes the worst kept candidate in (distance, id).
@@ -163,18 +159,19 @@ class LocationStore {
   /// <= `max_seq` (a newer report has authority over an older eviction).
   bool erase_if_stale(UserId user, std::uint64_t max_seq);
 
-  /// All records whose position rect.covers_inclusive() accepts: the
-  /// closed band [rect - kGeoEps, rect + kGeoEps] on both axes.
+  /// All records whose position rect.covers(): open on the west and
+  /// south edges, closed on the east and north ones, the rule
+  /// pubsub::SubscriptionIndex matches with.
   std::vector<LocationRecord> range(const Rect& rect) const;
 
   /// range() appending into a caller-owned vector (not cleared) — the
   /// batched query path merges per-region partials without reallocating.
   /// A rect that covers at least as many grid cells as the store holds is
-  /// answered by the SIMD band filter over the whole coordinate columns;
-  /// a narrower one visits the cells the band touches and filters their
+  /// answered by the SIMD filter over the whole coordinate columns; a
+  /// narrower one visits the cells the rect touches and filters their
   /// residents without a data-dependent branch.  The two paths emit the
-  /// same hits in different orders.  A band that is empty (a NaN edge, or
-  /// a negative extent wider than the tolerance) finds nothing.
+  /// same hits in different orders.  A rect that covers no point (a NaN
+  /// edge, or a zero or negative extent) finds nothing.
   void range_into(const Rect& rect, std::vector<LocationRecord>& out) const;
 
   /// The k records nearest to `p` (fewer when the store is smaller),
@@ -260,7 +257,7 @@ class LocationStore {
   // `cell_keys_` caches each slot's packed cell so the in-place update
   // path (the overwhelmingly common ingest) never recomputes the old
   // cell's floor divisions.  Coordinates are split into separate x/y
-  // columns for the SIMD band filter (see header comment).
+  // columns for the SIMD range filter (see header comment).
   std::vector<UserId> users_;
   std::vector<double> xs_;
   std::vector<double> ys_;

@@ -201,9 +201,9 @@ void QueryEngine::exec(const DirectorySnapshot& snapshot, const Query& q,
       best.reset(q.k);
       resolver_.each_by_distance(
           p, scratch.near,
-          [&](double ring_floor) { return ring_floor <= best.region_reach(); },
+          [&](double ring_floor) { return ring_floor <= best.reach(); },
           [&](RegionId id, double dist, double) {
-            if (dist > best.region_reach()) return true;
+            if (dist > best.reach()) return true;
             const LocationStore* st = snapshot.store(id);
             if (st == nullptr || st->empty()) return true;
             ++c.regions_scanned;

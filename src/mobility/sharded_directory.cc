@@ -119,7 +119,7 @@ void ShardedDirectory::apply_updates(std::span<const LocationRecord> batch) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const LocationRecord& rec = batch[i];
     const RegionId target = targets_[i];
-    if (target == kInvalidRegion) continue;  // empty partition
+    if (target == kInvalidRegion) continue;  // off the plane, or no regions
     UserSlot* state = states_[i];
     bool inserted = false;
     if (state == nullptr) {
@@ -310,9 +310,7 @@ ShardedDirectory::ApplyResult ShardedDirectory::apply_update(
 std::vector<LocationRecord> ShardedDirectory::range(const Rect& rect) const {
   std::vector<LocationRecord> out;
   for (const auto& [id, region] : partition_.regions()) {
-    if (!region.rect.intersects(rect) && !region.rect.edge_adjacent(rect)) {
-      continue;
-    }
+    if (!region.rect.meets(rect)) continue;
     const LocationStore* st = store(id);
     if (st == nullptr) continue;
     st->range_into(rect, out);
@@ -335,7 +333,7 @@ std::vector<LocationRecord> ShardedDirectory::k_nearest(const Point& p,
   NearestSet best;
   best.reset(k);
   for (const auto& [floor_dist, id] : order) {
-    if (floor_dist > best.region_reach()) break;
+    if (floor_dist > best.reach()) break;
     store(id)->k_nearest_into(p, best);
   }
   best.take_sorted(out);

@@ -15,15 +15,17 @@
 //
 //   A. locate (parallel) — each record's target region is resolved through
 //      the shared overlay::RegionResolver against a frozen per-user
-//      {region, seq} memo: when the cached region's rect still covers the
-//      new position (the overwhelmingly common case — a user rarely leaves
-//      its region between reports) that is one rect test.  A crossing or a
-//      new user is answered from the resolver's region grid; greedy
-//      descent over the partition only breaks a tie on a shared edge or
-//      corner.  The resolver invalidates on Partition::geometry_version(),
-//      so splits/merges are observed at the next batch.  Resolution is a
-//      pure function of the frozen state, so the result is independent of
-//      how records are chunked over threads.
+//      {region, seq} memo: when the cached region's rect still owns the
+//      new position (Rect::owns; the overwhelmingly common case — a user
+//      rarely leaves its region between reports) that is one rect test.
+//      A crossing or a new user is answered from the one cell of the
+//      resolver's region grid that its position maps to: every point of
+//      the closed plane has exactly one owning region.  A report off the
+//      plane or with a non-finite position resolves to no region, in O(1),
+//      and phase B drops it uncounted.  The resolver invalidates on
+//      Partition::geometry_version(), so splits/merges are observed at the
+//      next batch.  Resolution is a pure function of the frozen state, so
+//      the result is independent of how records are chunked over threads.
 //   B. dispatch (serial) — the seq guard filters stale/replayed records
 //      against the per-user memo, boundary crossings enqueue a small
 //      eviction message to the shard owning the user's previous region,
@@ -192,8 +194,9 @@ class ShardedDirectory {
     return current_.store(region);
   }
 
-  /// All records inside `rect`, gathered across every intersecting region.
-  /// Serial reference path: scans all partition regions per call.
+  /// All records `rect` covers (Rect::covers), gathered across every
+  /// region whose rect meets it.  Serial reference path: scans all
+  /// partition regions per call.
   std::vector<LocationRecord> range(const Rect& rect) const;
 
   /// The k records nearest `p` across every shard.  Serial reference path:

@@ -37,14 +37,14 @@ JoinResult basic_join(Partition& partition, const net::NodeInfo& joiner,
   const RegionId covering = route.executor;
 
   // Split so that, when the joiner and the incumbent fall in different
-  // halves, each owns the half covering its own coordinate; when they share
-  // a half the incumbent keeps it (the paper's owner "retains half").
+  // halves, each keeps the half that owns its own coordinate; when they
+  // share a half the incumbent keeps it (the paper's owner "retains half").
   const Region& r = partition.region(covering);
   const auto axis = split_axis_for_depth(r.split_depth);
   const auto [low, high] = r.rect.split(axis);
-  const bool owner_in_low =
-      low.covers_inclusive(partition.node(r.primary).coord);
-  const bool joiner_in_low = low.covers_inclusive(joiner.coord);
+  const Rect& plane = partition.plane();
+  const bool owner_in_low = low.owns(partition.node(r.primary).coord, plane);
+  const bool joiner_in_low = low.owns(joiner.coord, plane);
   const bool give_high =
       (owner_in_low != joiner_in_low) ? !joiner_in_low : owner_in_low;
   result.region = partition.split_explicit(covering, joiner.id, give_high);

@@ -89,9 +89,9 @@ RegionId Partition::split(RegionId id, NodeId other_primary) {
   const Point owner_coord = node(r.primary).coord;
   const auto axis = split_axis_for_depth(r.split_depth);
   const auto [low, high] = r.rect.split(axis);
-  // The old primary keeps the half covering its own coordinate so the
+  // The old primary keeps the half that owns its own coordinate so the
   // geographic node-to-region mapping survives the split.
-  const bool owner_keeps_low = low.covers_inclusive(owner_coord);
+  const bool owner_keeps_low = low.owns(owner_coord, plane_);
   return split_explicit(id, other_primary, /*give_high=*/owner_keeps_low);
 }
 

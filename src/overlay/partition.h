@@ -92,10 +92,11 @@ class Partition {
   RegionId create_root(NodeId primary);
 
   /// Splits `id` in half along the axis given by its split depth.  The old
-  /// region keeps its id, rect shrunk to the half covering its primary
-  /// owner's coordinate (falling back to the low half); the other half
-  /// becomes a new region owned by `other_primary`.  Secondary owners stay
-  /// with the old region.  Returns the new region's id.
+  /// region keeps its id, rect shrunk to the half that owns its primary
+  /// owner's coordinate (Rect::owns; the high half when the coordinate lies
+  /// in neither); the other half becomes a new region owned by
+  /// `other_primary`.  Secondary owners stay with the old region.  Returns
+  /// the new region's id.
   RegionId split(RegionId id, NodeId other_primary);
 
   /// Splits `id` giving the *low* or *high* half to the new region

@@ -1,7 +1,6 @@
 #include "overlay/region_resolver.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace geogrid::overlay {
 
@@ -46,66 +45,38 @@ void RegionResolver::rebuild() {
 
 RegionId RegionResolver::resolve(const Point& p, RegionId hint,
                                  bool* fast) const {
-  if (const Rect* r = rects_.find(hint);
-      r != nullptr && r->covers_inclusive(p)) {
-    // Same answer Partition::locate(p, hint) would give — greedy descent
-    // stops immediately when the start region covers the target — minus
-    // the partition's hash-map traffic.
+  const Rect& plane = spec_.plane;
+  if (const Rect* r = rects_.find(hint); r != nullptr && r->owns(p, plane)) {
     *fast = true;
     return hint;
   }
-  // A crossing, a new user, or a hint retired since the last refresh.
-  // Greedy descent returns the first covering region it visits, and over
-  // the connected tiling it visits every region before it gives up, so a
-  // region that alone covers p is its answer from any start.  A tie or a
-  // point nothing covers goes to the walk itself.
-  if (const RegionId sole = sole_cover(p); sole.valid()) return sole;
-  return partition_.locate(p, hint);
-}
-
-RegionId RegionResolver::sole_cover(const Point& p) const {
+  // A crossing, a new user, or a hint retired since the last refresh.  The
+  // region that owns p spans p on both axes, and it is bucketed by the
+  // same monotone cell mapping as p, so it sits in p's own cell.  An
+  // off-plane or non-finite p clamps into a border cell, where nothing
+  // owns it.
   if (rects_.empty()) return kInvalidRegion;
-  // A rect covers_inclusive(p) when p lies within kGeoEps of it, and it is
-  // bucketed by the same monotone cell mapping as the band below, so a
-  // band of kGeoEps plus the rounding slack either way of p meets every
-  // covering rect's cells.  Clamping keeps off-plane and non-finite
-  // points in the border cells, where nothing covers them.
-  const double pad = kGeoEps + rounding_slack();
-  const std::size_t x1 = spec_.cell_x(p.x + pad);
-  const std::size_t y0 = spec_.cell_y(p.y - pad);
-  const std::size_t y1 = spec_.cell_y(p.y + pad);
-  RegionId found = kInvalidRegion;
-  for (std::size_t cx = spec_.cell_x(p.x - pad); cx <= x1; ++cx) {
-    for (std::size_t cy = y0; cy <= y1; ++cy) {
-      for (const RegionId id : grid_[spec_.index(cx, cy)]) {
-        if (id == found || !rects_.find(id)->covers_inclusive(p)) continue;
-        if (found.valid()) return kInvalidRegion;  // a tie
-        found = id;
-      }
-    }
+  for (const RegionId id :
+       grid_[spec_.index(spec_.cell_x(p.x), spec_.cell_y(p.y))]) {
+    if (rects_.find(id)->owns(p, plane)) return id;
   }
-  return found;
+  return kInvalidRegion;
 }
 
 void RegionResolver::intersecting(const Rect& rect,
                                   std::vector<RegionId>& out) const {
   out.clear();
   if (rects_.empty()) return;
-  // One-cell margin each way so regions merely edge-adjacent to `rect`
-  // (whose area may lie wholly in the next cell when the rect edge sits on
-  // a cell boundary) still enter the candidate set; the exact test below
-  // keeps the result identical to a full region scan.
-  const std::size_t x0r = spec_.cell_x(rect.x);
-  const std::size_t y0r = spec_.cell_y(rect.y);
-  const std::size_t x0 = x0r > 0 ? x0r - 1 : 0;
-  const std::size_t x1 = spec_.cell_x(rect.right()) + 1;
-  const std::size_t y0 = y0r > 0 ? y0r - 1 : 0;
-  const std::size_t y1 = spec_.cell_y(rect.top()) + 1;
-  for (std::size_t cx = x0; cx <= x1 && cx < spec_.dim; ++cx) {
-    for (std::size_t cy = y0; cy <= y1 && cy < spec_.dim; ++cy) {
+  // A region meeting `rect` shares a point with it, whose cell lies in both
+  // the region's bucketed cell range and the range below: one monotone
+  // mapping gives both.
+  const std::size_t x1 = spec_.cell_x(rect.right());
+  const std::size_t y0 = spec_.cell_y(rect.y);
+  const std::size_t y1 = spec_.cell_y(rect.top());
+  for (std::size_t cx = spec_.cell_x(rect.x); cx <= x1; ++cx) {
+    for (std::size_t cy = y0; cy <= y1; ++cy) {
       for (const RegionId id : grid_[spec_.index(cx, cy)]) {
-        const Rect& r = *rects_.find(id);
-        if (r.intersects(rect) || r.edge_adjacent(rect)) out.push_back(id);
+        if (rects_.find(id)->meets(rect)) out.push_back(id);
       }
     }
   }

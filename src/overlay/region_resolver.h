@@ -11,19 +11,19 @@
 // cache — alone).
 //
 //   * resolve(p, hint)     — the write path's target resolution: when the
-//     hinted region's memoized rect still covers p (the overwhelmingly
-//     common case for a mobile user between reports) the answer is one
-//     rect-cover test.  A crossing or a new user is answered from the
-//     grid: the regions bucketed in p's cells are cover-tested, and when
-//     exactly one covers p that region is the answer, the one greedy
-//     descent would reach from any start.  Only when none or several
-//     cover p (off the plane, non-finite, or within kGeoEps of a shared
-//     edge or corner) does the partition's greedy locate break the tie,
-//     so every answer is exactly the partition's.
-//   * intersecting(rect)   — the range-query region set (intersection or
-//     edge adjacency, matching region/record edge semantics), found by
-//     probing only the grid cells the rect covers instead of scanning all
-//     R regions.  Returned sorted by region id: canonical merge order.
+//     hinted region's memoized rect still owns p (Rect::owns; the
+//     overwhelmingly common case for a mobile user between reports) the
+//     answer is one rect test.  A crossing or a new user is answered from
+//     the one grid cell p maps to: the region that owns p is bucketed
+//     there.  Each point of the closed plane has exactly one owner and no
+//     point off it has any, so there is no tie to break and the answer is
+//     the region Partition::locate reaches from any start; an off-plane
+//     or non-finite p costs one cell's tests, not a walk.
+//   * intersecting(rect)   — the range-query region set: every region whose
+//     closed rect meets the query's closed rect (Rect::meets), which
+//     includes every region that owns a point the query covers.  Found by
+//     probing only the grid cells the rect spans instead of scanning all R
+//     regions.  Returned sorted by region id: canonical merge order.
 //   * each_by_distance(p)  — k-nearest region discovery: expanding
 //     Chebyshev rings of grid cells around p, each ring's new regions
 //     handed to the visitor sorted by (rect distance, id).  The visitor
@@ -108,16 +108,15 @@ class RegionResolver {
   /// the current geometry (retired since the last refresh).
   const Rect* rect(RegionId region) const { return rects_.find(region); }
 
-  /// The region covering `p`, resolved through the `hint` fast path: when
-  /// the hinted region's rect still covers p the partition is never
-  /// touched and *fast is set.  Otherwise the grid answers when exactly
-  /// one region covers p, and Partition::locate (greedy descent from the
-  /// hint) breaks ties, so the answer is exactly the partition's.
+  /// The region that owns `p` (Rect::owns over the partition's plane), or
+  /// kInvalidRegion when p lies off the plane or is not finite.  When the
+  /// hinted region's rect still owns p *fast is set; otherwise p's grid
+  /// cell answers.  Never walks the partition.
   RegionId resolve(const Point& p, RegionId hint, bool* fast) const;
 
-  /// All regions whose rect intersects `rect` or is edge-adjacent to it
-  /// (the record-on-the-boundary case), sorted by region id.  Appends to
-  /// `out` (cleared first); grid-accelerated.
+  /// All regions whose closed rect meets the closed `rect` (Rect::meets),
+  /// sorted by region id.  Appends to `out` (cleared first);
+  /// grid-accelerated, exact, with no tolerance.
   void intersecting(const Rect& rect, std::vector<RegionId>& out) const;
 
   /// Region-distance candidate: orders by (rect distance, id).
@@ -160,18 +159,6 @@ class RegionResolver {
  private:
   void rebuild();
 
-  /// The one region whose rect covers_inclusive(p), or kInvalidRegion when
-  /// none or several do.
-  RegionId sole_cover(const Point& p) const;
-
-  /// Far above the rounding of any coordinate on the plane, which can
-  /// move a rect edge a few ulps across a cell line when it is bucketed.
-  double rounding_slack() const noexcept {
-    return (std::abs(spec_.plane.x) + std::abs(spec_.plane.y) +
-            spec_.plane.width + spec_.plane.height) *
-           0x1p-40;
-  }
-
   const Partition& partition_;
   std::uint64_t version_ = ~std::uint64_t{0};
   common::FlatMap<RegionId, Rect> rects_;
@@ -198,13 +185,16 @@ void RegionResolver::each_by_distance(const Point& p, NearScratch& scratch,
   // its cell plus (r-1) cell pitches away.  The offset is clamped to 0
   // when p lies outside its (clamped) cell.  Rects are bucketed by
   // floor((x - origin) / pitch), which can round an edge a few ulps across
-  // a cell line, so the floor gives up a slack far above that rounding.
+  // a cell line, so the floor gives up a slack far above the rounding of
+  // any coordinate on the plane.
   const double west = spec_.plane.x + static_cast<double>(pcx) * spec_.cell_w;
   const double south = spec_.plane.y + static_cast<double>(pcy) * spec_.cell_h;
   const double offset = std::max(
       0.0, std::min({p.x - west, west + spec_.cell_w - p.x, p.y - south,
                      south + spec_.cell_h - p.y}));
-  const double slack = rounding_slack();
+  const double slack = (std::abs(spec_.plane.x) + std::abs(spec_.plane.y) +
+                        spec_.plane.width + spec_.plane.height) *
+                       0x1p-40;
   common::FlatMap<RegionId, bool>& seen = scratch.seen;
   std::vector<Candidate>& ring_regions = scratch.ring;
   seen.clear();

@@ -24,7 +24,7 @@ RouteResult route_greedy(const Partition& partition, RegionId from,
   while (!stack.empty()) {
     const RegionId current = stack.back();
     const Region& r = partition.region(current);
-    if (r.rect.covers_inclusive(target)) {
+    if (r.rect.owns(target, partition.plane())) {
       result.reached = true;
       result.executor = current;
       return result;
@@ -36,7 +36,7 @@ RouteResult route_greedy(const Partition& partition, RegionId from,
       candidates.push_back(HopCandidate{n, partition.region(n).rect});
     }
     const auto next = greedy_next(
-        candidates, target,
+        candidates, target, partition.plane(),
         [&visited](RegionId id) { return visited.contains(id); });
     if (next) {
       visited.insert(*next);

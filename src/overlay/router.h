@@ -40,8 +40,13 @@ struct HopCandidate {
 
 /// Picks the next hop toward `target` among `candidates`, skipping regions
 /// for which `visited` returns true.  Returns nullopt when every candidate
-/// is visited.  Selection: minimum rect-to-target distance, then smaller
-/// area (finer region), then smaller id.
+/// is visited.  Selection: a candidate that owns the target (Rect::owns
+/// over `plane`) before one that does not, then minimum rect-to-target
+/// distance, then smaller area (finer region), then smaller id.  On a
+/// shared edge or corner every region whose closed rect holds the target
+/// lies at distance 0, so without the owner first two of them could hand
+/// a request back and forth.  Stale neighbor snapshots can overlap, so
+/// more than one candidate may claim the target; the finer one wins.
 ///
 /// The visited predicate is a template parameter, not a std::function:
 /// this runs once per routing hop on every routed message, and the
@@ -50,21 +55,28 @@ struct HopCandidate {
 /// predicate-free overload below serves the no-filter case.
 template <typename VisitedFn>
 std::optional<RegionId> greedy_next(std::span<const HopCandidate> candidates,
-                                    const Point& target, VisitedFn&& visited) {
+                                    const Point& target, const Rect& plane,
+                                    VisitedFn&& visited) {
   std::optional<RegionId> best;
+  bool best_owns = false;
   double best_distance = std::numeric_limits<double>::infinity();
   double best_area = std::numeric_limits<double>::infinity();
   for (const auto& c : candidates) {
     if (visited(c.region)) continue;
+    const bool owns = c.rect.owns(target, plane);
     const double d = c.rect.distance_to(target);
     const double a = c.rect.area();
     const bool better =
-        d < best_distance - kGeoEps ||
-        (almost_equal(d, best_distance) &&
-         (a < best_area - kGeoEps ||
-          (almost_equal(a, best_area) && (!best || c.region < *best))));
+        owns != best_owns
+            ? owns
+            : d < best_distance - kGeoEps ||
+                  (almost_equal(d, best_distance) &&
+                   (a < best_area - kGeoEps ||
+                    (almost_equal(a, best_area) &&
+                     (!best || c.region < *best))));
     if (better) {
       best = c.region;
+      best_owns = owns;
       best_distance = d;
       best_area = a;
     }
@@ -74,8 +86,10 @@ std::optional<RegionId> greedy_next(std::span<const HopCandidate> candidates,
 
 /// No-filter overload: every candidate is eligible.
 inline std::optional<RegionId> greedy_next(
-    std::span<const HopCandidate> candidates, const Point& target) {
-  return greedy_next(candidates, target, [](RegionId) { return false; });
+    std::span<const HopCandidate> candidates, const Point& target,
+    const Rect& plane) {
+  return greedy_next(candidates, target, plane,
+                     [](RegionId) { return false; });
 }
 
 /// Result of routing a request through the partition.

@@ -36,11 +36,10 @@
 // touches, and the half-open Rect::covers test (open on the west and
 // south edges, closed on the east and north) means a point probe needs
 // exactly one cell — the candidates arrive pre-sorted and covering()
-// never sorts or deduplicates.  This is not LocationStore::range's rule:
-// range keeps the closed band Rect::covers_inclusive accepts, so a range
-// query and a geofence over one rect disagree about users on its west and
-// south edges (ROADMAP item 7).  Friend subscriptions skip the grid
-// entirely and index by the tracked user id.
+// never sorts or deduplicates.  It is LocationStore::range's rule too, so
+// a range query and a geofence over one rect agree about every user,
+// those on its edges and corners included.  Friend subscriptions skip the
+// grid entirely and index by the tracked user id.
 //
 // Like the resolver, the index is a refresh-then-read structure: refresh()
 // (dispatcher-only) rebuilds the grid when the resident count drifted 2x

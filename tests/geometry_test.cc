@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace geogrid {
@@ -44,11 +48,47 @@ TEST(Rect, SharedEdgePointCoveredExactlyOnce) {
   EXPECT_FALSE(east.covers(on_edge));
 }
 
-TEST(Rect, CoversInclusiveAcceptsPlaneBorder) {
-  const Rect r{0, 0, 10, 10};
-  EXPECT_TRUE(r.covers_inclusive({0, 0}));
-  EXPECT_TRUE(r.covers_inclusive({0, 5}));
-  EXPECT_FALSE(r.covers_inclusive({-0.001, 5}));
+// Ownership is the cover test with the plane's own west and south borders
+// closed: a region on the border owns the points on it, an inner west or
+// south edge stays open, and nothing owns a point off the plane.
+TEST(Rect, OwnsClosesOnlyThePlaneBorder) {
+  const Rect plane{0, 0, 10, 10};
+  EXPECT_TRUE(plane.owns({0, 0}, plane));
+  EXPECT_TRUE(plane.owns({0, 5}, plane));
+  EXPECT_TRUE(plane.owns({5, 0}, plane));
+  EXPECT_TRUE(plane.owns({10, 10}, plane));
+  EXPECT_FALSE(plane.owns({-0.001, 5}, plane));
+  EXPECT_FALSE(plane.owns({5, std::nextafter(0.0, -1.0)}, plane));
+  EXPECT_FALSE(plane.owns({std::nextafter(10.0, 11.0), 5}, plane));
+
+  const Rect south_west{0, 0, 5, 5};
+  const Rect north_east{5, 5, 5, 5};
+  EXPECT_TRUE(south_west.owns({0, 2}, plane));
+  EXPECT_TRUE(south_west.owns({5, 5}, plane));  // the shared corner
+  EXPECT_FALSE(north_east.owns({5, 5}, plane));
+  EXPECT_FALSE(north_east.owns({5, 7}, plane));  // inner west edge
+  EXPECT_FALSE(north_east.owns({7, 5}, plane));  // inner south edge
+  EXPECT_TRUE(north_east.owns({10, 10}, plane));
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Point p : {Point{nan, 5}, Point{5, nan}, Point{-inf, 5},
+                        Point{5, inf}}) {
+    EXPECT_FALSE(plane.owns(p, plane)) << p;
+  }
+}
+
+// Closed rects meet on a shared edge or a shared corner, exactly.
+TEST(Rect, MeetsIsClosedAndExact) {
+  const Rect a{0, 0, 10, 10};
+  EXPECT_TRUE(a.meets({5, 5, 10, 10}));
+  EXPECT_TRUE(a.meets({10, 3, 5, 2}));   // shared edge
+  EXPECT_TRUE(a.meets({10, 10, 1, 1}));  // shared corner
+  EXPECT_TRUE(a.meets({-1, -1, 1, 1}));
+  EXPECT_FALSE(a.meets({std::nextafter(10.0, 11.0), 10, 1, 1}));
+  EXPECT_FALSE(a.meets({3, -2, 1, std::nextafter(2.0, 1.0)}));
+  EXPECT_FALSE(
+      a.meets({std::numeric_limits<double>::quiet_NaN(), 0, 1, 1}));
 }
 
 TEST(Rect, Intersects) {
@@ -141,7 +181,7 @@ TEST(Axis, SplitAxisAlternatesWithDepth) {
 }
 
 // Property: repeated splits tile the original rectangle exactly; every
-// random point is covered by exactly one tile.
+// point of the closed rectangle is owned by exactly one tile.
 TEST(RectProperty, RecursiveSplitTilesPlane) {
   Rng rng(2024);
   std::vector<Rect> tiles{Rect{0, 0, 64, 64}};
@@ -159,28 +199,39 @@ TEST(RectProperty, RecursiveSplitTilesPlane) {
   for (const Rect& t : tiles) area += t.area();
   EXPECT_NEAR(area, 64.0 * 64.0, 1e-9);
 
-  // covers() implies covers_inclusive(), which lets every cover test in the
-  // tree use covers_inclusive() alone.
-  const auto covers_implies_inclusive = [&tiles](const Point& p) {
-    for (const Rect& t : tiles) {
-      if (t.covers(p)) {
-        EXPECT_TRUE(t.covers_inclusive(p)) << "point " << p.x << ',' << p.y;
+  // Each point of the closed plane has exactly one owner, and no point off
+  // it has any: every tile corner, each corner and edge midpoint one ulp
+  // either way on both axes, and random points.
+  const Rect plane{0, 0, 64, 64};
+  const auto owners = [&tiles, &plane](const Point& p) {
+    int owned = 0;
+    for (const Rect& t : tiles) owned += t.owns(p, plane) ? 1 : 0;
+    return owned;
+  };
+  const auto near = [](double v) {
+    return std::vector{std::nextafter(v, -1e9), v, std::nextafter(v, 1e9)};
+  };
+  std::size_t probes = 0;
+  for (const Rect& t : tiles) {
+    const Point c = t.center();
+    for (const double bx : {t.x, c.x, t.right()}) {
+      for (const double by : {t.y, c.y, t.top()}) {
+        for (const double x : near(bx)) {
+          for (const double y : near(by)) {
+            const bool on_plane = 0.0 <= x && x <= 64.0 && 0.0 <= y &&
+                                  y <= 64.0;
+            EXPECT_EQ(owners({x, y}), on_plane ? 1 : 0)
+                << "point " << x << ',' << y;
+            ++probes;
+          }
+        }
       }
     }
-  };
-  for (const Rect& t : tiles) {
-    for (const Point& corner : {Point{t.x, t.y}, Point{t.right(), t.y},
-                                Point{t.x, t.top()},
-                                Point{t.right(), t.top()}}) {
-      covers_implies_inclusive(corner);
-    }
   }
+  EXPECT_GT(probes, 5000u);
   for (int i = 0; i < 500; ++i) {
-    const Point p{rng.uniform(1e-9, 64.0), rng.uniform(1e-9, 64.0)};
-    int covered = 0;
-    for (const Rect& t : tiles) covered += t.covers(p) ? 1 : 0;
-    EXPECT_EQ(covered, 1) << "point " << p.x << ',' << p.y;
-    covers_implies_inclusive(p);
+    const Point p{rng.uniform(0.0, 64.0), rng.uniform(0.0, 64.0)};
+    EXPECT_EQ(owners(p), 1) << "point " << p.x << ',' << p.y;
   }
 }
 

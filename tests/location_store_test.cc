@@ -75,12 +75,12 @@ TEST(LocationStore, RangeReturnsExactlyCoveredUsers) {
   EXPECT_EQ(ids, (std::vector<std::uint32_t>{3, 4, 5}));
 }
 
-/// Every record of `all` that rect.covers_inclusive() accepts, by user id.
+/// Every record of `all` that rect.covers(), by user id.
 std::vector<std::uint32_t> brute_range(const std::vector<LocationRecord>& all,
                                        const Rect& rect) {
   std::vector<std::uint32_t> ids;
   for (const LocationRecord& r : all) {
-    if (rect.covers_inclusive(r.position)) ids.push_back(r.user.value);
+    if (rect.covers(r.position)) ids.push_back(r.user.value);
   }
   std::sort(ids.begin(), ids.end());
   return ids;
@@ -96,34 +96,39 @@ std::vector<std::uint32_t> range_ids(const LocationStore& store,
   return ids;
 }
 
-TEST(LocationStore, RangeMatchesBruteForceAtTheBandEdges) {
-  // The accept band is closed at rect - kGeoEps and rect + kGeoEps.  A
-  // record sits exactly on each of the four band edges and one ulp outside
-  // each, with rect edges on cell lines (so the west and south ones are
+TEST(LocationStore, RangeMatchesBruteForceAtTheRectEdges) {
+  // The accept test is Rect::covers: open on the west and south edges,
+  // closed on the east and north ones.  A record sits exactly on each of
+  // the four edges and one ulp either side of each, and on each corner,
+  // with rect edges on cell lines (so the west and south records are
   // bucketed in the cells before the rect's), and the cell holding them
   // has more residents than the filter buffers per pass.  Both paths run:
-  // the band's 5x5 cells against a store of over a thousand cells take the
+  // the rect's 4x4 cells against a store of over a thousand cells take the
   // bucket path; the same rect against a store of a dozen cells, and a
   // rect wider than the store, take the SIMD path.
   const Rect rect{5.0, 7.0, 3.0, 3.0};
-  const double x_lo = rect.x - kGeoEps;
-  const double x_hi = rect.right() + kGeoEps;
-  const double y_lo = rect.y - kGeoEps;
-  const double y_hi = rect.top() + kGeoEps;
   const double mid_y = rect.y + 1.5;
   const double mid_x = rect.x + 1.5;
-  const double out = -1e9;  // nextafter direction: away from the rect
-  std::vector<Point> edge_points = {
-      {x_lo, mid_y}, {x_hi, mid_y}, {mid_x, y_lo}, {mid_x, y_hi},
-      {x_lo, y_lo},  {x_hi, y_hi},
-      {std::nextafter(x_lo, out), mid_y}, {std::nextafter(x_hi, -out), mid_y},
-      {mid_x, std::nextafter(y_lo, out)}, {mid_x, std::nextafter(y_hi, -out)}};
+  const auto below = [](double v) { return std::nextafter(v, -1e9); };
+  const auto above = [](double v) { return std::nextafter(v, 1e9); };
+  // Each point with whether the rect covers it.
+  const std::vector<std::pair<Point, bool>> edge_points = {
+      {{below(rect.x), mid_y}, false},   {{rect.x, mid_y}, false},
+      {{above(rect.x), mid_y}, true},    {{below(rect.right()), mid_y}, true},
+      {{rect.right(), mid_y}, true},     {{above(rect.right()), mid_y}, false},
+      {{mid_x, below(rect.y)}, false},   {{mid_x, rect.y}, false},
+      {{mid_x, above(rect.y)}, true},    {{mid_x, below(rect.top())}, true},
+      {{mid_x, rect.top()}, true},       {{mid_x, above(rect.top())}, false},
+      {{rect.x, rect.y}, false},         {{rect.x, rect.top()}, false},
+      {{rect.right(), rect.y}, false},   {{rect.right(), rect.top()}, true}};
   std::vector<LocationRecord> all;
   std::uint32_t next = 1;
-  for (const Point& p : edge_points) all.push_back(rec(next++, p.x, p.y));
+  for (const auto& [p, inside] : edge_points) {
+    all.push_back(rec(next++, p.x, p.y));
+  }
   Rng rng(3);
   // 1,500 residents of the cell at (5, 8), inside the rect, and 1,200 of
-  // the cell at (4, 8), which also holds the west band-edge records.
+  // the cell at (4, 8), which also holds the records just west of it.
   for (int i = 0; i < 1500; ++i) {
     all.push_back(rec(next++, rng.uniform(5.0, 6.0), rng.uniform(8.0, 9.0)));
   }
@@ -147,18 +152,17 @@ TEST(LocationStore, RangeMatchesBruteForceAtTheBandEdges) {
 
   const std::vector<std::uint32_t> want = brute_range(all, rect);
   ASSERT_EQ(brute_range(sparse_all, rect), want);
-  for (std::uint32_t id = 1; id <= 6; ++id) {
-    EXPECT_TRUE(std::binary_search(want.begin(), want.end(), id)) << id;
-  }
-  for (std::uint32_t id = 7; id <= 10; ++id) {
-    EXPECT_FALSE(std::binary_search(want.begin(), want.end(), id)) << id;
+  for (std::uint32_t id = 1; id <= edge_points.size(); ++id) {
+    EXPECT_EQ(std::binary_search(want.begin(), want.end(), id),
+              edge_points[id - 1].second)
+        << edge_points[id - 1].first;
   }
   EXPECT_EQ(range_ids(dense, rect), want);   // bucket path
   EXPECT_EQ(range_ids(sparse, rect), want);  // SIMD path
   const Rect wide{0.0, 0.0, 64.0, 64.0};
   EXPECT_EQ(range_ids(dense, wide), brute_range(all, wide));
-  // The rect one ulp east and north: its band edges move by about an ulp
-  // past the records placed on them.
+  // The rect one ulp east and north: its edges move one ulp past the
+  // records placed on them.
   const Rect nudged{std::nextafter(rect.x, 1e9), std::nextafter(rect.y, 1e9),
                     rect.width, rect.height};
   EXPECT_EQ(range_ids(dense, nudged), brute_range(all, nudged));
@@ -177,7 +181,7 @@ TEST(LocationStore, RangeOfHugeAndNonFiniteRects) {
   EXPECT_EQ(store.range(Rect{-1e300, 0.0, 2e300, 64.0}).size(), 10u);
   // A narrow rect past the int32 cell range on either axis takes the
   // bucket path through the saturated end cell, where its records live.
-  EXPECT_TRUE(store.ingest(rec(11, 3e9, 0.5)));
+  EXPECT_TRUE(store.ingest(rec(11, 3e9 + 0.5, 0.5)));
   EXPECT_TRUE(store.ingest(rec(12, 0.5, -3e9)));
   const auto east = store.range(Rect{3e9, 0.0, 1.0, 1.0});
   ASSERT_EQ(east.size(), 1u);

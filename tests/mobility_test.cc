@@ -18,7 +18,7 @@ TEST(UserPopulation, SpawnsCountUsersWithSequentialIds) {
   ASSERT_EQ(pop.users().size(), 25u);
   for (std::size_t i = 0; i < 25; ++i) {
     EXPECT_EQ(pop.users()[i].id, UserId{static_cast<std::uint32_t>(i + 1)});
-    EXPECT_TRUE(kPlane.covers_inclusive(pop.users()[i].position));
+    EXPECT_TRUE(kPlane.owns(pop.users()[i].position, kPlane));
     EXPECT_EQ(pop.users()[i].next_seq, 1u);
   }
 }
@@ -50,7 +50,7 @@ TEST(UserPopulation, MovementRespectsSpeedBoundAndPlane) {
     pop.step(1.0, now);
     for (std::size_t i = 0; i < pop.users().size(); ++i) {
       const MobileUser& u = pop.users()[i];
-      EXPECT_TRUE(kPlane.covers_inclusive(u.position));
+      EXPECT_TRUE(kPlane.owns(u.position, kPlane));
       // One step of dt=1 covers at most max_speed miles (plus float fuzz).
       EXPECT_LE(distance(before[i], u.position), opt.max_speed + 1e-9);
       before[i] = u.position;

@@ -79,7 +79,8 @@ TEST_P(PartitionProperties, LocateAgreesWithCoverTest) {
     const Point p{rng.uniform(1e-6, 64.0), rng.uniform(1e-6, 64.0)};
     const RegionId located = sim.partition().locate(p);
     ASSERT_TRUE(located.valid());
-    EXPECT_TRUE(sim.partition().region(located).rect.covers_inclusive(p));
+    EXPECT_TRUE(sim.partition().region(located).rect.owns(
+        p, sim.partition().plane()));
   }
 }
 

@@ -26,15 +26,14 @@ class ProtocolMobilityTest : public ::testing::Test {
     return opt;
   }
 
-  /// Every stored copy of `user` in regions covering `p`, across all nodes.
+  /// Every stored copy of `user` in the seats of the region that owns
+  /// `p`, across all nodes.
   std::size_t copies_at(UserId user, const Point& p) {
     std::size_t copies = 0;
     for (const auto& node : cluster_.nodes()) {
       if (node->departed()) continue;
       for (const auto& [rid, region] : node->owned()) {
-        if (!region.rect.covers_inclusive(p)) {
-          continue;
-        }
+        if (!region.rect.owns(p, make_options().node.plane)) continue;
         if (region.users.locate(user).has_value()) ++copies;
       }
     }
@@ -106,7 +105,8 @@ TEST_F(ProtocolMobilityTest, BoundaryCrossingIsLocatableAndEvictsOldOwner) {
   ASSERT_NE(owner, nullptr);
   const OwnedRegion* owning_region = nullptr;
   for (const auto& [rid, region] : owner->owned()) {
-    if (region.is_primary() && region.rect.covers_inclusive(after)) {
+    if (region.is_primary() &&
+        region.rect.owns(after, make_options().node.plane)) {
       owning_region = &region;
     }
   }

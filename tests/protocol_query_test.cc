@@ -100,7 +100,8 @@ TEST_F(ProtocolQueryTest, SubscriptionsReplicateToSecondary) {
   ASSERT_NE(primary, nullptr);
   const OwnedRegion* primary_region = nullptr;
   for (const auto& [rid, region] : primary->owned()) {
-    if (region.is_primary() && region.rect.covers_inclusive({43, 43})) {
+    if (region.is_primary() &&
+        region.rect.owns({43, 43}, make_options().node.plane)) {
       primary_region = &region;
     }
   }

@@ -16,6 +16,7 @@
 #include "mobility/motion.h"
 #include "mobility/sharded_directory.h"
 #include "overlay/partition.h"
+#include "partition_fixture.h"
 #include "wire_digest.h"
 
 namespace geogrid::pubsub {
@@ -24,24 +25,8 @@ namespace {
 using mobility::LocationRecord;
 using mobility::ShardedDirectory;
 
-constexpr Rect kPlane{0.0, 0.0, 64.0, 64.0};
-
-// Same quadrant geometry as the mobility suites: four regions via two
-// split rounds.
-struct QuadrantFixture {
-  overlay::Partition partition{kPlane};
-  QuadrantFixture() {
-    const NodeId a = partition.add_node({NodeId{1}, Point{10, 10}, 10.0});
-    const NodeId b = partition.add_node({NodeId{2}, Point{10, 50}, 10.0});
-    const NodeId c = partition.add_node({NodeId{3}, Point{50, 10}, 10.0});
-    const NodeId d = partition.add_node({NodeId{4}, Point{50, 50}, 10.0});
-    const RegionId root = partition.create_root(a);
-    const RegionId north = partition.split(root, b);
-    partition.split(root, c);
-    partition.split(north, d);
-    EXPECT_EQ(partition.region_count(), 4u);
-  }
-};
+using testutil::kPlane;
+using testutil::QuadrantFixture;
 
 net::Subscribe sub_msg(std::uint64_t id, const Rect& area,
                        const char* filter = "") {
@@ -132,9 +117,7 @@ TEST(SubscriptionIndex, CoveringIsHalfOpenOnLowEdges) {
   SubscriptionIndex idx(kPlane);
   idx.subscribe(sub_msg(1, Rect{8, 8, 8, 8}));
   // Half-open on the low edges, closed on the high edges — the region
-  // algebra's Rect::covers.  LocationStore::range keeps the closed band
-  // instead (covers_inclusive), so it also returns (8, 12) and (12, 8);
-  // ROADMAP item 7 is to pick one rule.
+  // algebra's Rect::covers, which LocationStore::range applies too.
   EXPECT_TRUE(covering_ids(idx, Point{16, 16}).size() == 1);
   EXPECT_TRUE(covering_ids(idx, Point{8, 12}).empty());
   EXPECT_TRUE(covering_ids(idx, Point{12, 8}).empty());

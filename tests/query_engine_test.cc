@@ -19,46 +19,15 @@
 #include "mobility/sharded_directory.h"
 #include "nearest_reference.h"
 #include "overlay/region_resolver.h"
+#include "partition_fixture.h"
 #include "wire_digest.h"
 
 namespace geogrid::mobility {
 namespace {
 
-constexpr Rect kPlane{0.0, 0.0, 64.0, 64.0};
-
-// Four quadrant regions via two split rounds (the mobile-layer fixture
-// geometry shared with the ShardedDirectory suite).
-struct QuadrantFixture {
-  overlay::Partition partition{kPlane};
-  QuadrantFixture() {
-    const NodeId a = partition.add_node({NodeId{1}, Point{10, 10}, 10.0});
-    const NodeId b = partition.add_node({NodeId{2}, Point{10, 50}, 10.0});
-    const NodeId c = partition.add_node({NodeId{3}, Point{50, 10}, 10.0});
-    const NodeId d = partition.add_node({NodeId{4}, Point{50, 50}, 10.0});
-    const RegionId root = partition.create_root(a);
-    const RegionId north = partition.split(root, b);
-    partition.split(root, c);
-    partition.split(north, d);
-    EXPECT_EQ(partition.region_count(), 4u);
-  }
-};
-
-/// A partition of `count` regions: the root halved again and again, each
-/// split taking a pseudo-randomly chosen region, so rect sizes vary and
-/// edges fall at many binary fractions of the plane.
-overlay::Partition make_partition(std::size_t count) {
-  overlay::Partition partition{kPlane};
-  const NodeId root_owner =
-      partition.add_node({NodeId{1}, Point{32, 32}, 10.0});
-  std::vector<RegionId> regions = {partition.create_root(root_owner)};
-  for (std::uint32_t n = 2; regions.size() < count; ++n) {
-    const RegionId victim = regions[(n * 7919u) % regions.size()];
-    const Rect r = partition.region(victim).rect;
-    const NodeId node = partition.add_node({NodeId{n}, r.center(), 10.0});
-    regions.push_back(partition.split(victim, node));
-  }
-  return partition;
-}
+using testutil::kPlane;
+using testutil::make_partition;
+using testutil::QuadrantFixture;
 
 std::vector<std::vector<LocationRecord>> make_trace(std::size_t users,
                                                     int ticks,
@@ -279,7 +248,7 @@ TEST(QueryEngine, RangeOrderHoldsInEveryIdByte) {
   for (const Query& q : queries) {
     std::vector<LocationRecord> hits;
     for (const LocationRecord& rec : population) {
-      if (q.rect.covers_inclusive(rec.position)) hits.push_back(rec);
+      if (q.rect.covers(rec.position)) hits.push_back(rec);
     }
     std::sort(hits.begin(), hits.end(),
               [](const LocationRecord& a, const LocationRecord& b) {
@@ -313,9 +282,9 @@ TEST(QueryEngine, NearestMatchesBruteForceOnEdgesTiesAndFarCenters) {
   // bounded walk — must answer exactly what a sort of every record by
   // (distance(), user id) gives.  Records sit on the grid lines and
   // corners of every cell size tried, several share one position, and
-  // some sit at denormal-scale offsets from the origin (a few just west
-  // or south of it, inside the cover tolerance).  Centers sit on cell
-  // corners, on records, on the diagonal and far off the plane.
+  // some sit at denormal-scale offsets from the origin or on the plane's
+  // west and south borders.  Centers sit on cell corners, on records, on
+  // the diagonal and far off the plane.
   const std::vector<double> cell_sizes = {0.25, 1.0, 0.8094};
   std::vector<Point> positions;
   Rng rng(2024);
@@ -332,7 +301,7 @@ TEST(QueryEngine, NearestMatchesBruteForceOnEdgesTiesAndFarCenters) {
   for (const Point& p :
        {Point{0.0, 0.0}, Point{tiny, tiny}, Point{1e-310, 0.0},
         Point{0.0, 2.2250738585072014e-308}, Point{3e-320, 1e-300},
-        Point{-tiny, 1.0}, Point{2.0, -1e-310}}) {
+        Point{0.0, 1.0}, Point{2.0, 0.0}}) {
     positions.push_back(p);
   }
   for (int i = 0; i < 5; ++i) positions.push_back(Point{20.5, 20.5});
@@ -617,9 +586,18 @@ TEST(QueryEngine, ConcurrentIngestNeverTearsASnapshot) {
   EXPECT_GT(dir.counters().snapshot_slices_cloned, 0u);
 }
 
+/// Whether the closed rects share a point, spelled out independently of
+/// Rect::meets.
+bool closed_overlap(const Rect& a, const Rect& b) {
+  return std::max(a.x, b.x) <= std::min(a.right(), b.right()) &&
+         std::max(a.y, b.y) <= std::min(a.top(), b.top());
+}
+
 TEST(RegionResolver, MatchesBruteForceDiscovery) {
-  // intersecting() must return exactly the regions a full scan finds, and
-  // each_by_distance() must visit every region with a valid lower bound.
+  // intersecting() must return exactly the regions whose closed rect meets
+  // the query's closed rect in a full scan, resolve() exactly the one
+  // region that owns a point, and each_by_distance() must visit every
+  // region with a valid lower bound.
   QuadrantFixture fx;
   overlay::RegionResolver resolver(fx.partition);
   resolver.refresh();
@@ -627,20 +605,84 @@ TEST(RegionResolver, MatchesBruteForceDiscovery) {
 
   Rng rng(4);
   std::vector<RegionId> got;
+  const auto check_intersecting = [&got](const overlay::Partition& tiles,
+                                         const overlay::RegionResolver& r,
+                                         const Rect& rect) {
+    std::vector<RegionId> expect;
+    for (const auto& [id, region] : tiles.regions()) {
+      if (closed_overlap(region.rect, rect)) expect.push_back(id);
+    }
+    std::sort(expect.begin(), expect.end());
+    r.intersecting(rect, got);
+    EXPECT_EQ(got, expect) << "rect " << rect;
+  };
   for (int i = 0; i < 200; ++i) {
     const double w = rng.uniform(0.1, 30.0);
     const double h = rng.uniform(0.1, 30.0);
     const Rect rect{rng.uniform(0.0, 64.0 - w), rng.uniform(0.0, 64.0 - h), w,
                     h};
-    std::vector<RegionId> expect;
-    for (const auto& [id, region] : fx.partition.regions()) {
-      if (region.rect.intersects(rect) || region.rect.edge_adjacent(rect)) {
-        expect.push_back(id);
+    check_intersecting(fx.partition, resolver, rect);
+  }
+  {
+    // Rects whose edges lie on region edges and resolver grid lines, and
+    // one ulp either side, over 300 regions: a region that touches the
+    // rect only along an edge or at a corner is kept, one an ulp away is
+    // not.
+    const overlay::Partition tiles = make_partition(300);
+    overlay::RegionResolver tile_resolver(tiles);
+    tile_resolver.refresh();
+    std::size_t dim = 1;
+    while (dim * dim < tiles.region_count()) ++dim;
+    const auto spec = overlay::UniformGridSpec::over(kPlane, dim);
+    std::vector<double> xs;
+    std::vector<double> ys;
+    const auto add = [](std::vector<double>& to, double v) {
+      to.insert(to.end(),
+                {std::nextafter(v, -1e9), v, std::nextafter(v, 1e9)});
+    };
+    for (const auto& [id, region] : tiles.regions()) {
+      add(xs, region.rect.x);
+      add(xs, region.rect.right());
+      add(ys, region.rect.y);
+      add(ys, region.rect.top());
+    }
+    for (std::size_t j = 1; j < dim; ++j) {
+      add(xs, static_cast<double>(j) * spec.cell_w);
+      add(ys, static_cast<double>(j) * spec.cell_h);
+    }
+    for (std::vector<double>* v : {&xs, &ys}) {
+      std::sort(v->begin(), v->end());
+      v->erase(std::unique(v->begin(), v->end()), v->end());
+    }
+    // Each rect spans up to 60 consecutive edge coordinates per axis,
+    // zero-width and zero-height rects included.
+    const auto pick = [&rng](const std::vector<double>& v) {
+      const std::size_t lo = rng.uniform_index(v.size());
+      const std::size_t hi =
+          std::min(v.size() - 1, lo + rng.uniform_index(60));
+      return std::pair{v[lo], v[hi]};
+    };
+    std::size_t touching = 0;
+    std::size_t ulp_apart = 0;
+    for (int i = 0; i < 5000; ++i) {
+      const auto [x0, x1] = pick(xs);
+      const auto [y0, y1] = pick(ys);
+      const Rect rect{x0, y0, x1 - x0, y1 - y0};
+      check_intersecting(tiles, tile_resolver, rect);
+      const Rect grown{rect.x - 1e-12, rect.y - 1e-12, rect.width + 2e-12,
+                       rect.height + 2e-12};
+      for (const auto& [id, region] : tiles.regions()) {
+        if (closed_overlap(region.rect, rect)) {
+          touching += region.rect.intersects(rect) ? 0 : 1;
+        } else {
+          ulp_apart += closed_overlap(region.rect, grown) ? 1 : 0;
+        }
       }
     }
-    std::sort(expect.begin(), expect.end());
-    resolver.intersecting(rect, got);
-    EXPECT_EQ(got, expect);
+    // Many kept regions meet their rect only on an edge or at a corner,
+    // and many left out lie a few ulps from it.
+    EXPECT_GT(touching, 5000u);
+    EXPECT_GT(ulp_apart, 1000u);
   }
 
   overlay::RegionResolver::NearScratch scratch;
@@ -680,8 +722,8 @@ TEST(RegionResolver, MatchesBruteForceDiscovery) {
     EXPECT_EQ(hinted, cold);
   }
 
-  // It agrees at every edge, corner and tie too, where two or four closed
-  // rects cover a point and greedy descent keeps the first it reaches.
+  // Each point of the closed plane has exactly one owner, which resolve()
+  // and Partition::locate() both return, and no point off it has any.
   // Probes: each region's corners and edge midpoints, the crossings of
   // region edges that lie on resolver grid lines with the perpendicular
   // lines, and the plane's corners, each exact, at +-kGeoEps and at one
@@ -693,7 +735,7 @@ TEST(RegionResolver, MatchesBruteForceDiscovery) {
   // edges lie on).
   struct alignas(64) Tally {  // one cacheline per worker
     std::size_t checks = 0;
-    std::size_t ties = 0;
+    std::size_t on_plane = 0;
     std::size_t mismatches = 0;
   };
   Tally total;
@@ -759,30 +801,37 @@ TEST(RegionResolver, MatchesBruteForceDiscovery) {
 
     const auto check = [&](const Point& p, const std::vector<RegionId>& hints,
                            Tally& tally) {
-      std::size_t covers = 0;
+      RegionId owner = kInvalidRegion;
+      std::size_t owners = 0;
       for (const auto& [id, region] : tiles.regions()) {
-        covers += region.rect.covers_inclusive(p) ? 1 : 0;
+        if (!region.rect.owns(p, kPlane)) continue;
+        owner = id;
+        ++owners;
       }
-      tally.ties += covers > 1 ? 1 : 0;
-      const auto expect = [&](RegionId hint, RegionId want) {
+      const bool on_plane = 0.0 <= p.x && p.x <= 64.0 && 0.0 <= p.y &&
+                            p.y <= 64.0;
+      tally.on_plane += on_plane ? 1 : 0;
+      if (owners != (on_plane ? 1u : 0u) && tally.mismatches++ < 5) {
+        ADD_FAILURE() << count << " regions, point (" << p.x << ", " << p.y
+                      << "): " << owners << " owners";
+      }
+      const auto expect = [&](RegionId hint) {
         bool fast = false;
         const RegionId answer = tile_resolver.resolve(p, hint, &fast);
+        const RegionId located = tiles.locate(p, hint);
         ++tally.checks;
-        const bool hit = tiles.has_region(hint) &&
-                         tiles.region(hint).rect.covers_inclusive(p);
-        if ((answer != want || fast != hit) && tally.mismatches++ < 5) {
+        if ((answer != owner || fast != (owner.valid() && hint == owner) ||
+             located != owner) &&
+            tally.mismatches++ < 5) {
           ADD_FAILURE() << count << " regions, point (" << p.x << ", " << p.y
                         << ") hint " << hint << ": resolve " << answer
-                        << (fast ? " fast" : "") << ", locate " << want
-                        << ", " << covers << " regions cover it";
+                        << (fast ? " fast" : "") << ", locate " << located
+                        << ", owner " << owner;
         }
       };
-      // Partition::locate starts a walk from a retired hint where it
-      // starts one with none, so the two share a walk.
-      const RegionId cold = tiles.locate(p);
-      expect(kInvalidRegion, cold);
-      expect(retired, cold);
-      for (const RegionId hint : hints) expect(hint, tiles.locate(p, hint));
+      expect(kInvalidRegion);
+      expect(retired);
+      for (const RegionId hint : hints) expect(hint);
     };
     const auto near = [](double v) {
       std::vector<double> out;
@@ -815,8 +864,8 @@ TEST(RegionResolver, MatchesBruteForceDiscovery) {
           Point{kInf, kNaN}}) {
       points.emplace_back(p, &off_plane_hints);
     }
-    // Greedy walks dominate the test's time, and resolve and locate only
-    // read, so four threads share the points.
+    // Greedy walks dominate the test's time (about 2 s on one thread), and
+    // resolve and locate only read, so four threads share the points.
     constexpr std::size_t kWorkers = 4;
     std::vector<Tally> tallies(kWorkers);
     std::vector<std::thread> workers;
@@ -830,16 +879,15 @@ TEST(RegionResolver, MatchesBruteForceDiscovery) {
     for (std::thread& t : workers) t.join();
     for (const Tally& t : tallies) {
       total.checks += t.checks;
-      total.ties += t.ties;
+      total.on_plane += t.on_plane;
       total.mismatches += t.mismatches;
     }
   };
   probe_partition(300);
   probe_partition(16);
   EXPECT_EQ(total.mismatches, 0u) << "of " << total.checks << " checks";
-  // Many probes lie where two or more regions cover them.
   EXPECT_GT(total.checks, 600'000u);
-  EXPECT_GT(total.ties, 40'000u);
+  EXPECT_GT(total.on_plane, 50'000u);
 }
 
 TEST(RegionResolver, RingFloorBoundsEveryUnvisitedRegion) {

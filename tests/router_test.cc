@@ -45,8 +45,8 @@ TEST(GreedyNext, PicksClosestCandidate) {
       {RegionId{2}, Rect{10, 0, 10, 10}},
       {RegionId{3}, Rect{20, 0, 10, 10}},
   };
-  EXPECT_EQ(*greedy_next(candidates, Point{25, 5}), (RegionId{3}));
-  EXPECT_EQ(*greedy_next(candidates, Point{1, 1}), (RegionId{1}));
+  EXPECT_EQ(*greedy_next(candidates, Point{25, 5}, kPlane), (RegionId{3}));
+  EXPECT_EQ(*greedy_next(candidates, Point{1, 1}, kPlane), (RegionId{1}));
 }
 
 TEST(GreedyNext, SkipsVisited) {
@@ -54,9 +54,8 @@ TEST(GreedyNext, SkipsVisited) {
       {RegionId{1}, Rect{0, 0, 10, 10}},
       {RegionId{2}, Rect{10, 0, 10, 10}},
   };
-  const auto next = greedy_next(candidates, Point{1, 1}, [](RegionId id) {
-    return id == RegionId{1};
-  });
+  const auto next = greedy_next(candidates, Point{1, 1}, kPlane,
+                                [](RegionId id) { return id == RegionId{1}; });
   EXPECT_EQ(*next, (RegionId{2}));
 }
 
@@ -64,9 +63,9 @@ TEST(GreedyNext, AllVisitedReturnsNothing) {
   const std::vector<HopCandidate> candidates{
       {RegionId{1}, Rect{0, 0, 10, 10}},
   };
-  EXPECT_FALSE(
-      greedy_next(candidates, Point{1, 1}, [](RegionId) { return true; })
-          .has_value());
+  EXPECT_FALSE(greedy_next(candidates, Point{1, 1}, kPlane,
+                           [](RegionId) { return true; })
+                   .has_value());
 }
 
 TEST(GreedyNext, TieBreaksOnAreaThenId) {
@@ -75,7 +74,27 @@ TEST(GreedyNext, TieBreaksOnAreaThenId) {
       {RegionId{3}, Rect{10, 0, 10, 10}},   // identical rect: smaller id wins
       {RegionId{1}, Rect{10, 10, 20, 20}},  // same distance, bigger area
   };
-  EXPECT_EQ(*greedy_next(candidates, Point{5, 5}), (RegionId{3}));
+  EXPECT_EQ(*greedy_next(candidates, Point{5, 5}, kPlane), (RegionId{3}));
+}
+
+TEST(GreedyNext, OwnerWinsOnASharedEdgeOrCorner) {
+  // Every candidate lies at distance 0 from a point on its closed edge;
+  // the one that owns the point wins over a finer or lower-id region.
+  const std::vector<HopCandidate> candidates{
+      {RegionId{9}, Rect{0, 0, 16, 16}},
+      {RegionId{2}, Rect{16, 0, 8, 8}},
+      {RegionId{1}, Rect{16, 8, 8, 8}},
+      {RegionId{3}, Rect{0, 16, 8, 8}},
+  };
+  EXPECT_EQ(*greedy_next(candidates, Point{16, 4}, kPlane), (RegionId{9}));
+  EXPECT_EQ(*greedy_next(candidates, Point{16, 8}, kPlane), (RegionId{9}));
+  EXPECT_EQ(*greedy_next(candidates, Point{20, 8}, kPlane), (RegionId{2}));
+  EXPECT_EQ(*greedy_next(candidates, Point{4, 16}, kPlane), (RegionId{9}));
+  EXPECT_EQ(*greedy_next(candidates, Point{0, 20}, kPlane), (RegionId{3}));
+  // Without the owner among them, distance, area and id decide.
+  EXPECT_EQ(*greedy_next(std::span(candidates).subspan(1), Point{16, 4},
+                         kPlane),
+            (RegionId{2}));
 }
 
 TEST(Router, RouteToSelf) {

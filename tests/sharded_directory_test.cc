@@ -10,27 +10,13 @@
 
 #include "common/rng.h"
 #include "mobility/motion.h"
+#include "partition_fixture.h"
 
 namespace geogrid::mobility {
 namespace {
 
-constexpr Rect kPlane{0.0, 0.0, 64.0, 64.0};
-
-// Four quadrant regions via two split rounds.
-struct QuadrantFixture {
-  overlay::Partition partition{kPlane};
-  QuadrantFixture() {
-    const NodeId a = partition.add_node({NodeId{1}, Point{10, 10}, 10.0});
-    const NodeId b = partition.add_node({NodeId{2}, Point{10, 50}, 10.0});
-    const NodeId c = partition.add_node({NodeId{3}, Point{50, 10}, 10.0});
-    const NodeId d = partition.add_node({NodeId{4}, Point{50, 50}, 10.0});
-    const RegionId root = partition.create_root(a);
-    const RegionId north = partition.split(root, b);
-    partition.split(root, c);
-    partition.split(north, d);
-    EXPECT_EQ(partition.region_count(), 4u);
-  }
-};
+using testutil::kPlane;
+using testutil::QuadrantFixture;
 
 LocationRecord rec(std::uint32_t user, double x, double y,
                    std::uint64_t seq = 1) {

@@ -159,7 +159,7 @@ TEST(SnapshotReclaim, ConcurrentPinnedReadersRacePublishingWriter) {
           if (r.found) {
             // A located record read off a pinned snapshot is coherent:
             // its position sits inside the plane the trace never leaves.
-            EXPECT_TRUE(kPlane.covers_inclusive(r.located.position));
+            EXPECT_TRUE(kPlane.owns(r.located.position, kPlane));
           }
         }
       }
