@@ -18,7 +18,9 @@
 // compares canonicalized query results and notification streams against a
 // never-adapted reference directory every tick and byte-verifies each
 // migration against a rebuilt-from-scratch directory; any divergence,
-// lost user or duplicate notification aborts the bench.
+// lost user or duplicate notification aborts the bench, and so does a
+// notification drain that rescans instead of matching the snapshot's
+// delta.
 //
 // Populations sweep 10k-100k users by default; GEOGRID_BENCH_LARGE=1 adds
 // the 1M point, GEOGRID_BENCH_POPS picks the sweep explicitly, and
@@ -90,6 +92,9 @@ void measure(bench::Report& report, std::size_t users) {
                  (unsigned long long)rep.duplicate_notifications,
                  (unsigned long long)rep.migration_verify_failures);
     bench::fail("adapted run diverged from the never-adapted reference");
+  }
+  if (rep.notify_rescans != 0) {
+    bench::fail("live notification engine fell back to a rescan");
   }
   if (rep.failovers == 0) bench::fail("no failover executed");
   if (rep.migrated_records == 0) bench::fail("no records migrated");

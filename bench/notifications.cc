@@ -132,16 +132,14 @@ void measure(bench::Report& report, std::size_t user_count,
 
   // One shared subscription index: drains are sequential and matching is
   // read-only, so all the engines can probe the same frozen grid.  The
-  // sweep engines share dir_inc, so none of them may trim its delta
-  // history out from under the others.
+  // sweep engines share dir_inc and drain every epoch, so each of them
+  // matches the one snapshot's delta.
   pubsub::SubscriptionIndex subs(plane);
   pubsub::NotificationEngine serial(dir_serial, subs, {.threads = 1});
   std::vector<std::unique_ptr<pubsub::NotificationEngine>> sweep;
   for (const std::size_t t : bench::kSweep) {
     sweep.push_back(std::make_unique<pubsub::NotificationEngine>(
-        dir_inc, subs,
-        pubsub::NotificationEngine::Options{.threads = t,
-                                            .trim_consumed = false}));
+        dir_inc, subs, pubsub::NotificationEngine::Options{.threads = t}));
   }
   pubsub::NotificationEngine requery(dir_requery, subs,
                                      {.threads = bench::kHeadline});

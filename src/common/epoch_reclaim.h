@@ -1,13 +1,12 @@
 // Epoch-based reclamation for single-writer, many-reader published objects.
 //
-// The snapshot read path's original handoff was a mutex-guarded
-// shared_ptr<const DirectorySnapshot> copy: every reader acquiring a
-// snapshot locked the writer's mutex and bumped the control block's atomic
-// refcount — one contended cacheline shared by every reader on every
-// acquire, which is exactly the kind of shared write that caps read-side
-// scaling long before memory bandwidth does.
+// A reader on another thread must keep the object it read alive while it
+// uses it, without writing anything other readers write: a shared
+// refcount bumped on every acquire is one contended cacheline, exactly the
+// kind of shared write that caps read-side scaling long before memory
+// bandwidth does.
 //
-// EpochDomain replaces the refcount with reader *announcements*.  The
+// EpochDomain keeps objects alive through reader *announcements*.  The
 // domain keeps a global epoch counter and a fixed table of cacheline-
 // aligned reader slots.  A reader pins by writing the current global epoch
 // into its own slot (a store to a cacheline nobody else writes), reads the
@@ -99,8 +98,8 @@ class EpochDomain {
   };
 
   /// Claims a reader slot for the domain's lifetime.  Returns an
-  /// unregistered Reader when the table is full — callers must fall back
-  /// to a refcounted acquisition path in that case.
+  /// unregistered Reader when the table is full; such a Reader must not
+  /// pin.
   Reader register_reader() noexcept {
     for (std::size_t i = 0; i < kMaxReaders; ++i) {
       bool expected = false;

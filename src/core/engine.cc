@@ -104,28 +104,4 @@ Summary GridSimulation::workload_summary() const {
   return metrics::workload_summary(partition_, load_fn());
 }
 
-std::unique_ptr<mobility::ShardedDirectory>
-GridSimulation::make_location_directory(double cell_size) const {
-  mobility::ShardedDirectory::Options opts;
-  opts.shards = options_.ingest_shards;
-  opts.cell_size = cell_size;
-  opts.track_deltas = options_.track_deltas;
-  return std::make_unique<mobility::ShardedDirectory>(partition_, opts);
-}
-
-std::unique_ptr<mobility::QueryEngine> GridSimulation::make_query_engine(
-    mobility::ShardedDirectory& directory) const {
-  mobility::QueryEngine::Options opts;
-  opts.threads = options_.query_threads;
-  return std::make_unique<mobility::QueryEngine>(directory, opts);
-}
-
-std::unique_ptr<pubsub::NotificationEngine>
-GridSimulation::make_notification_engine(mobility::ShardedDirectory& directory,
-                                         pubsub::SubscriptionIndex& subs) const {
-  pubsub::NotificationEngine::Options opts;
-  opts.threads = options_.notify_threads;
-  return std::make_unique<pubsub::NotificationEngine>(directory, subs, opts);
-}
-
 }  // namespace geogrid::core

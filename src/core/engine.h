@@ -15,10 +15,7 @@
 #include "common/stats.h"
 #include "core/options.h"
 #include "loadbalance/driver.h"
-#include "mobility/query_engine.h"
-#include "mobility/sharded_directory.h"
 #include "overlay/partition.h"
-#include "pubsub/notification_engine.h"
 #include "overlay/snapshot.h"
 #include "workload/hotspot.h"
 
@@ -54,26 +51,6 @@ class GridSimulation {
 
   /// Moves every hot spot `steps` epochs.
   void migrate_hotspots(std::size_t steps = 1);
-
-  /// The engine-mode mobile-user ingestion engine over this simulation's
-  /// partition, sharded per options().ingest_shards.  Callers own the
-  /// returned directory; it must not outlive the simulation.
-  std::unique_ptr<mobility::ShardedDirectory> make_location_directory(
-      double cell_size = 1.0) const;
-
-  /// The batched snapshot-consistent read engine over a directory made by
-  /// make_location_directory, fanned out per options().query_threads.  The
-  /// engine must not outlive the directory.
-  std::unique_ptr<mobility::QueryEngine> make_query_engine(
-      mobility::ShardedDirectory& directory) const;
-
-  /// The incremental pub/sub engine over a directory made by
-  /// make_location_directory (set options().track_deltas or the engine
-  /// full-rescans every drain), matching per options().notify_threads.
-  /// Must not outlive the directory or the subscription index.
-  std::unique_ptr<pubsub::NotificationEngine> make_notification_engine(
-      mobility::ShardedDirectory& directory,
-      pubsub::SubscriptionIndex& subs) const;
 
   /// Max/mean/stddev of the per-node workload index (the figures' metric).
   Summary workload_summary() const;

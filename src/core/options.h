@@ -33,23 +33,6 @@ struct SimulationOptions {
       workload::CapacityDistribution::gnutella();
   loadbalance::PlannerConfig planner{};
   std::uint64_t seed = 1;
-  /// Shard/worker count of the engine-mode ingestion directory built by
-  /// GridSimulation::make_location_directory.  0 = hardware threads,
-  /// 1 = serial.  Results are shard-count independent by contract.
-  std::size_t ingest_shards = 0;
-  /// Worker-thread count of the batched read engine built by
-  /// GridSimulation::make_query_engine.  0 = hardware threads, 1 = serial.
-  /// Results are thread-count independent by contract.
-  std::size_t query_threads = 0;
-  /// Record per-epoch ingest deltas on directories built by
-  /// make_location_directory, feeding the incremental pub/sub path
-  /// (pubsub::NotificationEngine).  Off by default: pure-ingest
-  /// deployments skip the bookkeeping.
-  bool track_deltas = false;
-  /// Worker-thread count of the notification match phase built by
-  /// GridSimulation::make_notification_engine.  0 = hardware threads,
-  /// 1 = serial.  Results are thread-count independent by contract.
-  std::size_t notify_threads = 0;
 };
 
 /// Configuration of the serving edge (serve::Server) — the event loop that

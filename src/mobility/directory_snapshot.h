@@ -5,11 +5,14 @@
 // batch applied, a record mid-handoff present in two regions or neither.
 // DirectorySnapshot is the read side's answer: a frozen DirectoryState —
 // the user -> region map plus one store-map slice per shard — stamped
-// with the ingest epoch (number of applied batches) it reflects.  A
-// snapshot is reached only through shared_ptr<const ...>, so a reader
-// holding one sees exactly one epoch for as long as it keeps the pointer,
-// no matter how far the writer advances — the isolation contract the
-// concurrent ingest-while-query test pins.
+// with the ingest epoch (number of applied batches) it reflects and, when
+// the directory tracks deltas, the users applied since the previous
+// publish.  The writer's thread holds a snapshot through
+// shared_ptr<const ...>; any other thread reads one under an epoch pin
+// (ShardedDirectory::pinned_snapshot).  Either way a reader sees exactly
+// one epoch for as long as it holds the snapshot, no matter how far the
+// writer advances — the isolation contract the concurrent
+// ingest-while-query test pins.
 //
 // The writer and its snapshots hold the same DirectoryState type: publish
 // freezes the writer's current bodies (the user map and each slice) into
@@ -98,18 +101,10 @@ struct DirectoryState {
 
 class DirectorySnapshot {
  public:
-  using StoreMap = mobility::StoreMap;
-
-  DirectorySnapshot(std::uint64_t epoch, UserMap users,
-                    std::vector<std::shared_ptr<const StoreMap>> slices)
-      : epoch_(epoch),
-        state_{std::make_shared<const UserMap>(std::move(users)),
-               std::move(slices)} {}
-
-  /// Delta-stamped snapshot of `state`: `delta` is the sorted deduplicated
+  /// Snapshot of `state` at `epoch`: `delta` is the sorted deduplicated
   /// list of users whose record was applied in epochs
-  /// (delta_base_epoch, epoch], or nullopt when that history was not
-  /// tracked / already trimmed.
+  /// (delta_base_epoch, epoch], or nullopt when the directory tracks no
+  /// deltas.
   DirectorySnapshot(std::uint64_t epoch, DirectoryState state,
                     std::uint64_t delta_base_epoch,
                     std::optional<std::vector<UserId>> delta)
@@ -158,7 +153,7 @@ class DirectorySnapshot {
   std::uint64_t delta_base_epoch() const noexcept { return delta_base_; }
 
   /// Whether this snapshot carries a changed-user delta (the directory
-  /// tracked deltas and retained full history since the base epoch).
+  /// tracks deltas).
   bool has_delta() const noexcept { return delta_.has_value(); }
 
   /// Users whose record was applied in (delta_base_epoch, epoch], sorted
@@ -168,7 +163,8 @@ class DirectorySnapshot {
   }
 
   /// Every user resident at this epoch, sorted by id, appended to `out` —
-  /// the full-rescan fallback for consumers whose delta history was lost.
+  /// the candidates of a consumer the delta does not serve (one that
+  /// drained some other epoch than delta_base_epoch, or none yet).
   void collect_users(std::vector<UserId>& out) const;
 
   /// Canonical serialization (DirectoryState::serialize).

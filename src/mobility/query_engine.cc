@@ -99,7 +99,10 @@ std::vector<QueryResult> QueryEngine::run_pinned(std::span<const Query> batch) {
     // Nothing published yet: every locate misses, every scan is empty.
     // One empty slice keeps store()'s shard modulus well-defined.
     static const DirectorySnapshot kEmpty(
-        0, {}, {std::make_shared<const DirectorySnapshot::StoreMap>()});
+        0,
+        DirectoryState{std::make_shared<const UserMap>(),
+                       {std::make_shared<const StoreMap>()}},
+        0, std::nullopt);
     return run_on(kEmpty, batch);
   }
   return run_on(*snapshot, batch);

@@ -6,6 +6,15 @@
 
 namespace geogrid::mobility {
 
+namespace {
+
+void sort_unique(std::vector<UserId>& users) {
+  std::sort(users.begin(), users.end());
+  users.erase(std::unique(users.begin(), users.end()), users.end());
+}
+
+}  // namespace
+
 ShardedDirectory::ShardedDirectory(const overlay::Partition& partition)
     : ShardedDirectory(partition, Options{}) {}
 
@@ -14,8 +23,6 @@ ShardedDirectory::ShardedDirectory(const overlay::Partition& partition,
     : partition_(partition),
       cell_size_(options.cell_size),
       track_deltas_(options.track_deltas),
-      delta_retention_(options.delta_retention < 1 ? 1
-                                                   : options.delta_retention),
       resolver_(partition),
       pool_(options.shards),
       shards_(pool_.task_count()),
@@ -58,45 +65,30 @@ void ShardedDirectory::apply_updates(std::span<const LocationRecord> batch) {
   targets_.resize(batch.size());
   states_.resize(batch.size());
   const std::size_t chunks = shards_.size();
-  std::uint64_t fast_hits = 0;
-  std::uint64_t new_users = 0;
-  if (chunks == 1) {
+  // Task c always lands on the same pool thread (fixed affinity), and its
+  // tally slot is alone on a cacheline — the parallel locate phase writes
+  // nothing shared and allocates nothing.
+  pool_.run([&](std::size_t c) {
+    PhaseATally& tally = phase_a_tally_[c];
+    tally = PhaseATally{};
+    const std::size_t lo = batch.size() * c / chunks;
+    const std::size_t hi = batch.size() * (c + 1) / chunks;
     bool fast = false;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
+    for (std::size_t i = lo; i < hi; ++i) {
       fast = false;
       states_[i] = memo.find(batch[i].user);
       const RegionId hint =
           states_[i] == nullptr ? kInvalidRegion : states_[i]->region;
       targets_[i] = resolver_.resolve(batch[i].position, hint, &fast);
-      fast_hits += fast ? 1 : 0;
-      new_users += states_[i] == nullptr ? 1 : 0;
+      tally.fast_hits += fast ? 1 : 0;
+      tally.new_users += states_[i] == nullptr ? 1 : 0;
     }
-  } else {
-    // Task c always lands on the same pool thread (fixed affinity), and
-    // its tally slot is alone on a cacheline — the parallel locate phase
-    // writes nothing shared and allocates nothing.
-    pool_.run([&](std::size_t c) {
-      PhaseATally& tally = phase_a_tally_[c];
-      tally = PhaseATally{};
-      const std::size_t lo = batch.size() * c / chunks;
-      const std::size_t hi = batch.size() * (c + 1) / chunks;
-      bool fast = false;
-      for (std::size_t i = lo; i < hi; ++i) {
-        fast = false;
-        states_[i] = memo.find(batch[i].user);
-        const RegionId hint =
-            states_[i] == nullptr ? kInvalidRegion : states_[i]->region;
-        targets_[i] = resolver_.resolve(batch[i].position, hint, &fast);
-        tally.fast_hits += fast ? 1 : 0;
-        tally.new_users += states_[i] == nullptr ? 1 : 0;
-      }
-    });
-    for (const PhaseATally& t : phase_a_tally_) {
-      fast_hits += t.fast_hits;
-      new_users += t.new_users;
-    }
+  });
+  std::uint64_t new_users = 0;
+  for (const PhaseATally& t : phase_a_tally_) {
+    counters_.locate_fast_path += t.fast_hits;
+    new_users += t.new_users;
   }
-  counters_.locate_fast_path += fast_hits;
   if (new_users > 0) {
     // Pre-size the memo so the phase-B try_emplace loop never rehashes
     // mid-iteration.  The reserve itself may rehash right here, though,
@@ -114,8 +106,6 @@ void ShardedDirectory::apply_updates(std::span<const LocationRecord> batch) {
 
   // Phase B: serial dispatch — seq guard, handoff evictions, shard queues.
   for (auto& shard : shards_) shard.queue.clear();
-  std::vector<UserId> epoch_users;
-  if (track_deltas_) epoch_users.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const LocationRecord& rec = batch[i];
     const RegionId target = targets_[i];
@@ -148,14 +138,7 @@ void ShardedDirectory::apply_updates(std::span<const LocationRecord> batch) {
     const MemoOp op{rec.user, *state};
     users_.record({&op, 1});
     ++counters_.updates_applied;
-    if (track_deltas_) epoch_users.push_back(rec.user);
-  }
-  if (track_deltas_ && !epoch_users.empty()) {
-    deltas_.push_back(EpochDelta{counters_.batches, std::move(epoch_users)});
-    while (deltas_.size() > delta_retention_) {
-      delta_floor_ = deltas_.front().epoch;
-      deltas_.pop_front();
-    }
+    pend(rec.user);
   }
 
   // Phase C: drain every shard queue in dispatch order, one worker each.
@@ -241,8 +224,6 @@ ShardedDirectory::MigrationReport ShardedDirectory::migrate_regions(
   });
 
   for (auto& shard : shards_) shard.queue.clear();
-  std::vector<UserId> migrated;
-  if (track_deltas_) migrated.reserve(moves.size());
   UserMap* memo = moves.empty() ? nullptr : &write_users();
   for (const Move& m : moves) {
     if (filter && !filter(m.rec.user, m.from, m.to)) {
@@ -262,23 +243,17 @@ ShardedDirectory::MigrationReport ShardedDirectory::migrate_regions(
       users_.record({&op, 1});
     }
     ++report.moved;
-    if (track_deltas_) migrated.push_back(m.rec.user);
+    // The moved users join the next snapshot's delta, so its consumers see
+    // users a removed region no longer holds.
+    pend(m.rec.user);
   }
 
   if (report.moved > 0) {
     drain_queues();
     // A migration that changed store contents is an ingest epoch of its
-    // own: snapshots republish, and the moved users join the delta history
-    // so changed_since reports users a removed region no longer holds.
+    // own: snapshots republish.
     ++counters_.batches;
     counters_.migrated_records += report.moved;
-    if (track_deltas_ && !migrated.empty()) {
-      deltas_.push_back(EpochDelta{counters_.batches, std::move(migrated)});
-      while (deltas_.size() > delta_retention_) {
-        delta_floor_ = deltas_.front().epoch;
-        deltas_.pop_front();
-      }
-    }
   }
   counters_.migration_dropped += report.dropped;
 
@@ -340,24 +315,10 @@ std::vector<LocationRecord> ShardedDirectory::k_nearest(const Point& p,
   return out;
 }
 
-std::optional<std::vector<UserId>> ShardedDirectory::changed_since(
-    std::uint64_t since_epoch) const {
-  if (!track_deltas_ || since_epoch < delta_floor_) return std::nullopt;
-  std::vector<UserId> out;
-  for (const EpochDelta& d : deltas_) {
-    if (d.epoch <= since_epoch) continue;
-    out.insert(out.end(), d.users.begin(), d.users.end());
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-void ShardedDirectory::trim_deltas(std::uint64_t epoch) {
-  while (!deltas_.empty() && deltas_.front().epoch <= epoch) {
-    deltas_.pop_front();
-  }
-  if (epoch > delta_floor_) delta_floor_ = epoch;
+void ShardedDirectory::pend(UserId user) {
+  if (!track_deltas_) return;
+  pending_.push_back(user);
+  if (pending_.size() > 2 * current_.size()) sort_unique(pending_);
 }
 
 std::shared_ptr<const DirectorySnapshot> ShardedDirectory::publish_snapshot() {
@@ -372,19 +333,21 @@ std::shared_ptr<const DirectorySnapshot> ShardedDirectory::publish_snapshot() {
   }
   users_.freeze();
   ++counters_.snapshots_published;
-  // Stamp the snapshot with the changed-user set since the previously
-  // published epoch, so snapshot consumers get the delta without touching
-  // the (mutable) directory again.
+  // The snapshot carries the users applied since the previously published
+  // epoch, so its consumers get the delta without touching the (mutable)
+  // directory again.
+  std::optional<std::vector<UserId>> delta;
+  if (track_deltas_) {
+    sort_unique(pending_);
+    delta.emplace(pending_.begin(), pending_.end());
+    pending_.clear();
+  }
   const std::uint64_t base_epoch =
       published_ == nullptr ? 0 : published_->epoch();
   auto snap = std::make_shared<const DirectorySnapshot>(
-      ingest_epoch(), current_, base_epoch, changed_since(base_epoch));
-  std::shared_ptr<const DirectorySnapshot> superseded;
-  {
-    std::lock_guard lock(snapshot_mutex_);
-    superseded = std::move(published_);
-    published_ = snap;
-  }
+      ingest_epoch(), current_, base_epoch, std::move(delta));
+  std::shared_ptr<const DirectorySnapshot> superseded =
+      std::exchange(published_, snap);
   // Epoch-based reclamation handshake: publish the new raw pointer FIRST,
   // then stamp the superseded snapshot and scan reader slots.  A pinned
   // reader either shows up in the scan (its snapshot is kept) or pinned
@@ -411,12 +374,6 @@ void ShardedDirectory::reclaim_retired() {
       ++i;
     }
   }
-}
-
-std::shared_ptr<const DirectorySnapshot> ShardedDirectory::current_snapshot()
-    const {
-  std::lock_guard lock(snapshot_mutex_);
-  return published_;
 }
 
 }  // namespace geogrid::mobility

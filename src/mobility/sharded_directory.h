@@ -47,10 +47,16 @@
 //
 // Read side: the per-call locate/range/k_nearest below read the writer's
 // current DirectoryState and are valid only between batches (the serial
-// reference path).  Readers that must overlap ingestion go through
-// publish_snapshot / current_snapshot: an epoch-versioned immutable
-// DirectorySnapshot.  mobility::QueryEngine is the batched consumer of
-// those snapshots.
+// reference path).  The writer publishes an epoch-versioned immutable
+// DirectorySnapshot with publish_snapshot; a reader on another thread
+// registers once (register_reader) and reads the latest snapshot under an
+// EpochDomain::Guard through pinned_snapshot.  mobility::QueryEngine is the
+// batched consumer of those snapshots.
+//
+// With Options::track_deltas each snapshot also carries its ingest delta:
+// the sorted users whose record was applied since the previous publish.
+// The directory keeps one pending list of those users and hands it to the
+// next snapshot; nothing else remembers which epoch moved whom.
 //
 // Publication costs O(records applied since the last publish), not
 // O(population).  The writer's state is a DirectoryState of shared bodies
@@ -58,14 +64,14 @@
 // bodies written since the previous publish into the snapshot by
 // reference.  Before its next write to a frozen position the writer takes
 // back the body the previous snapshot froze — returned by its last
-// owner's deleter, so a body a pinned or refcounted reader still holds is
-// never written — and replays onto it, in dispatch order, the ShardOps or
-// memo updates applied since.  It clones the frozen body instead when no
-// such body is free or the op log outgrew the body (Recycler below).
+// owner's deleter, so a body that a held snapshot or a pinned reader still
+// reaches is never written — and replays onto it, in dispatch order, the
+// ShardOps or memo updates applied since.  It clones the frozen body
+// instead when no such body is free or the op log outgrew the body
+// (Recycler below).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -95,14 +101,12 @@ class ShardedDirectory {
     /// worker threads are spawned, matching the single-threaded engine).
     std::size_t shards = 0;
     double cell_size = 1.0;
-    /// Record the per-epoch list of users whose record was applied, so
-    /// incremental consumers (pubsub::NotificationEngine) can match only
-    /// the ingest delta instead of rescanning the population.  Off by
-    /// default: the hot ingest path stays byte-for-byte untouched.
+    /// Stamp each published snapshot with the users whose record was
+    /// applied since the previous publish, so incremental consumers
+    /// (pubsub::NotificationEngine) can match only the ingest delta
+    /// instead of rescanning the population.  Off by default: the hot
+    /// ingest path stays byte-for-byte untouched.
     bool track_deltas = false;
-    /// Epochs of delta history retained before the oldest list is
-    /// discarded; a consumer that fell further behind must full-rescan.
-    std::size_t delta_retention = 1024;
   };
 
   struct Counters {
@@ -176,9 +180,9 @@ class ShardedDirectory {
   /// ingestion uses, so plane-border semantics match exactly.  Transfers
   /// apply in user-id order, keeping the result byte-identical for every
   /// shard count.  A pass that moved anything counts as one ingest epoch
-  /// and its users join the delta history — consumers watching
-  /// changed_since observe users that vanished from a removed region even
-  /// though no report arrived.  Writer-side only, like apply_updates.
+  /// and its users join the next snapshot's delta — a consumer of that
+  /// delta sees users that vanished from a removed region even though no
+  /// report arrived.  Writer-side only, like apply_updates.
   MigrationReport migrate_regions(const MigrationFilter& filter = {});
 
   /// Point lookup through the per-user memo (no partition access).
@@ -204,20 +208,14 @@ class ShardedDirectory {
   std::vector<LocationRecord> k_nearest(const Point& p, std::size_t k) const;
 
   /// Publishes an immutable snapshot of the current state, stamped with
-  /// the ingest epoch (applied-batch count).  Copies nothing: the snapshot
-  /// shares the writer's current bodies, which freeze, and the next write
-  /// to each catches a recycled body up (header comment).  Slices no write
-  /// touched since the previous publish are the previous snapshot's, and
-  /// publishing twice at the same epoch returns the same snapshot.
-  /// Writer-side only: must not overlap apply_updates.
+  /// the ingest epoch (applied-batch count) and, under track_deltas, the
+  /// sorted users applied since the previous publish.  Copies nothing: the
+  /// snapshot shares the writer's current bodies, which freeze, and the
+  /// next write to each catches a recycled body up (header comment).
+  /// Slices no write touched since the previous publish are the previous
+  /// snapshot's, and publishing twice at the same epoch returns the same
+  /// snapshot.  Writer-side only: must not overlap apply_updates.
   std::shared_ptr<const DirectorySnapshot> publish_snapshot();
-
-  /// The latest published snapshot (null before the first publish).  Safe
-  /// to call from any thread, concurrently with ingestion; the returned
-  /// snapshot never changes.  This is the refcounted slow path: each call
-  /// locks the publication mutex and bumps the control block — use the
-  /// epoch-reclamation pair below on the per-batch read hot path.
-  std::shared_ptr<const DirectorySnapshot> current_snapshot() const;
 
   /// Claims a slot in the snapshot reclamation domain for a long-lived
   /// reader thread (see common/epoch_reclaim.h).  The reader must not
@@ -226,48 +224,18 @@ class ShardedDirectory {
     return reclaim_domain_.register_reader();
   }
 
-  /// Refcount-free snapshot acquisition: the caller must be pinned
-  /// (EpochDomain::Guard over a registered reader), and the pointer is
-  /// valid exactly until the pin is released.  Null before the first
-  /// publish.  Unlike current_snapshot(), concurrent readers touch no
-  /// shared mutable word — acquisition is two stores to the reader's own
-  /// cacheline plus one load.
+  /// The latest published snapshot (null before the first publish), the
+  /// one way a thread other than the writer reads one.  The caller must be
+  /// pinned (EpochDomain::Guard over a registered reader), and the pointer
+  /// is valid exactly until the pin is released.  Concurrent readers touch
+  /// no shared mutable word — acquisition is two stores to the reader's
+  /// own cacheline plus one load.
   const DirectorySnapshot* pinned_snapshot() const noexcept {
     return live_snapshot_.load(std::memory_order_acquire);
   }
 
   /// Ingest epoch: number of non-empty batches applied so far.
   std::uint64_t ingest_epoch() const noexcept { return counters_.batches; }
-
-  /// One ingest epoch's applied-user list, in dispatch order (a user whose
-  /// record was applied twice in one batch appears twice).
-  struct EpochDelta {
-    std::uint64_t epoch = 0;
-    std::vector<UserId> users;
-  };
-
-  bool tracks_deltas() const noexcept { return track_deltas_; }
-
-  /// Retained per-epoch applied-user lists, oldest first.  Always empty
-  /// unless Options::track_deltas; epochs where every record was rejected
-  /// by the seq guard contribute no entry.
-  const std::deque<EpochDelta>& epoch_deltas() const noexcept {
-    return deltas_;
-  }
-
-  /// Highest epoch whose delta has been discarded (0 = full history kept).
-  std::uint64_t delta_floor() const noexcept { return delta_floor_; }
-
-  /// Sorted, deduplicated union of every user applied in epochs
-  /// (since_epoch, ingest_epoch()].  nullopt when since_epoch predates the
-  /// retained history (or deltas are not tracked): the caller must fall
-  /// back to a full rescan.
-  std::optional<std::vector<UserId>> changed_since(
-      std::uint64_t since_epoch) const;
-
-  /// Discards delta history up to and including `epoch`.  A consumer that
-  /// drained through `epoch` calls this to bound retained memory.
-  void trim_deltas(std::uint64_t epoch);
 
   std::size_t size() const noexcept { return current_.size(); }
   std::size_t shard_count() const noexcept { return shards_.size(); }
@@ -450,6 +418,12 @@ class ShardedDirectory {
   /// publish.
   UserMap& write_users();
 
+  /// Adds `user` to the users applied since the last publish (a no-op
+  /// unless Options::track_deltas).  Once the list holds more than twice
+  /// the resident users it is deduplicated in place, so it stays O(users)
+  /// however long nobody publishes, and loses no user.
+  void pend(UserId user);
+
   /// Frees the retired snapshots no pinned reader can still reach; their
   /// bodies return for recycling.
   void reclaim_retired();
@@ -462,7 +436,6 @@ class ShardedDirectory {
   const overlay::Partition& partition_;
   double cell_size_;
   bool track_deltas_;
-  std::size_t delta_retention_;
 
   // The writer's state: the user -> region memo (the dispatcher's, touched
   // only between batch barriers) and each shard's stores, as shared bodies
@@ -478,23 +451,18 @@ class ShardedDirectory {
   /// users up front and open addressing never moves slots on insert.
   std::vector<UserSlot*> states_;
   Counters counters_;
-
-  // Delta history (dispatcher state): one applied-user list per tracked
-  // epoch, bounded by delta_retention_; delta_floor_ marks trimmed history.
-  std::deque<EpochDelta> deltas_;
-  std::uint64_t delta_floor_ = 0;
+  /// Users applied since the last publish (pend()).
+  std::vector<UserId> pending_;
 
   common::WorkerPool pool_;
   std::vector<Shard> shards_;
   std::vector<PhaseATally> phase_a_tally_;  ///< one aligned slot per task
 
-  // Snapshot publication state.  published_ is swapped under
-  // snapshot_mutex_ so current_snapshot() is safe from reader threads.
-  // live_snapshot_ mirrors published_.get() for the refcount-free pinned
-  // read path; superseded snapshots park in retired_ until the
-  // reclamation domain proves no pinned reader can still reach them.
+  // Snapshot publication state.  Only the writer touches published_;
+  // live_snapshot_ mirrors published_.get() for pinned readers, and
+  // superseded snapshots park in retired_ until the reclamation domain
+  // proves no pinned reader can still reach them.
   std::shared_ptr<const DirectorySnapshot> published_;
-  mutable std::mutex snapshot_mutex_;
   std::atomic<const DirectorySnapshot*> live_snapshot_{nullptr};
   mutable common::EpochDomain reclaim_domain_;
   struct RetiredSnapshot {

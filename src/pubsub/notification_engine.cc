@@ -4,7 +4,6 @@
 #include <charconv>
 #include <chrono>
 #include <limits>
-#include <optional>
 #include <string_view>
 #include <utility>
 
@@ -48,7 +47,6 @@ NotificationEngine::NotificationEngine(mobility::ShardedDirectory& directory,
                                        Options options)
     : directory_(directory),
       subs_(subs),
-      options_(options),
       pool_(options.threads),
       tasks_(pool_.task_count()) {}
 
@@ -57,31 +55,20 @@ std::vector<Notification> NotificationEngine::drain() {
   const std::shared_ptr<const mobility::DirectorySnapshot> snap =
       directory_.publish_snapshot();
   ++counters_.drains;
-  if (snap == nullptr) return {};
   counters_.last_epoch = snap->epoch();
   if (last_ != nullptr && snap->epoch() == last_->epoch()) return {};
 
   // The candidate set: users whose record changed in (last epoch, epoch].
-  // Preference order — the snapshot's own stamped delta, the directory's
-  // retained history, then the full-rescan fallback (which also serves the
-  // first drain, where every resident user is new).
-  std::vector<UserId> fallback;
-  std::span<const UserId> delta;
-  if (last_ == nullptr) {
-    snap->collect_users(fallback);
-    delta = fallback;
-  } else if (snap->has_delta() && snap->delta_base_epoch() == last_->epoch()) {
-    delta = snap->delta();
-  } else {
-    std::optional<std::vector<UserId>> changed =
-        directory_.changed_since(last_->epoch());
-    if (changed.has_value()) {
-      fallback = std::move(*changed);
-    } else {
-      ++counters_.full_rescans;
-      snap->collect_users(fallback);
-    }
-    delta = fallback;
+  // The snapshot's delta is exactly that set when it starts at the epoch
+  // this engine last drained; otherwise every resident user is a candidate
+  // (header comment, "Two sources of candidates").
+  std::vector<UserId> rescan;
+  std::span<const UserId> delta = snap->delta();
+  if (last_ == nullptr || !snap->has_delta() ||
+      snap->delta_base_epoch() != last_->epoch()) {
+    if (last_ != nullptr) ++counters_.full_rescans;
+    snap->collect_users(rescan);
+    delta = rescan;
   }
   counters_.delta_users += delta.size();
 
@@ -95,41 +82,29 @@ std::vector<Notification> NotificationEngine::drain() {
     // Task state lives on the engine and is reused drain over drain; the
     // pool's fixed affinity keeps each entry thread-affine.
     const std::size_t tasks = pool_.task_count();
-    if (tasks == 1) {
-      run_chunk(delta, 0, delta.size(), *snap, prev, out, tasks_[0],
-                counters_);
-      match_hist_.merge(tasks_[0].hist);
-      tasks_[0].hist = {};
-    } else {
-      pool_.run([&](std::size_t t) {
-        TaskState& state = tasks_[t];
-        state.out.clear();
-        const std::size_t lo = delta.size() * t / tasks;
-        const std::size_t hi = delta.size() * (t + 1) / tasks;
-        run_chunk(delta, lo, hi, *snap, prev, state.out, state, state.tally);
-      });
-      std::size_t total = 0;
-      for (const TaskState& state : tasks_) total += state.out.size();
-      out.reserve(total);
-      for (TaskState& state : tasks_) {
-        out.insert(out.end(), state.out.begin(), state.out.end());
-        counters_.stationary_skips += state.tally.stationary_skips;
-        counters_.notifications += state.tally.notifications;
-        counters_.enters += state.tally.enters;
-        counters_.leaves += state.tally.leaves;
-        counters_.moves += state.tally.moves;
-        counters_.friend_events += state.tally.friend_events;
-        state.tally = {};
-        match_hist_.merge(state.hist);
-        state.hist = {};
-      }
+    pool_.run([&](std::size_t t) {
+      const std::size_t lo = delta.size() * t / tasks;
+      const std::size_t hi = delta.size() * (t + 1) / tasks;
+      run_chunk(delta, lo, hi, *snap, prev, tasks_[t]);
+    });
+    std::size_t total = 0;
+    for (const TaskState& state : tasks_) total += state.out.size();
+    out.reserve(total);
+    for (TaskState& state : tasks_) {
+      out.insert(out.end(), state.out.begin(), state.out.end());
+      counters_.stationary_skips += state.tally.stationary_skips;
+      counters_.notifications += state.tally.notifications;
+      counters_.enters += state.tally.enters;
+      counters_.leaves += state.tally.leaves;
+      counters_.moves += state.tally.moves;
+      counters_.friend_events += state.tally.friend_events;
+      state.tally = {};
+      match_hist_.merge(state.hist);
+      state.hist = {};
     }
   }
 
   last_ = snap;
-  if (options_.trim_consumed && directory_.tracks_deltas()) {
-    directory_.trim_deltas(snap->epoch());
-  }
   return out;
 }
 
@@ -137,8 +112,8 @@ void NotificationEngine::run_chunk(std::span<const UserId> delta,
                                    std::size_t lo, std::size_t hi,
                                    const mobility::DirectorySnapshot& cur,
                                    const mobility::DirectorySnapshot* prev,
-                                   std::vector<Notification>& out,
-                                   TaskState& state, Counters& c) {
+                                   TaskState& state) {
+  state.out.clear();
   const std::span<const UserId> chunk = delta.subspan(lo, hi - lo);
   // Bulk-resolve the whole chunk's records up front: locate_many groups
   // the store probes by shard/region, so the random per-user map walks of
@@ -158,10 +133,10 @@ void NotificationEngine::run_chunk(std::span<const UserId> delta,
     // the two clock reads, the rest run clock-free.
     if ((lo + k) % kTimingSampleEvery == 0) {
       const double t0 = now_micros();
-      match_user(chunk[k], cur_rec, prev_rec, out, state, c);
+      match_user(chunk[k], cur_rec, prev_rec, state);
       state.hist.record_micros(now_micros() - t0);
     } else {
-      match_user(chunk[k], cur_rec, prev_rec, out, state, c);
+      match_user(chunk[k], cur_rec, prev_rec, state);
     }
   }
 }
@@ -169,8 +144,9 @@ void NotificationEngine::run_chunk(std::span<const UserId> delta,
 void NotificationEngine::match_user(UserId user,
                                     const mobility::LocationRecord* cur_rec,
                                     const mobility::LocationRecord* prev_rec,
-                                    std::vector<Notification>& out,
-                                    TaskState& state, Counters& c) const {
+                                    TaskState& state) const {
+  std::vector<Notification>& out = state.out;
+  Counters& c = state.tally;
   if (cur_rec == nullptr) return;  // never resident at this epoch
   const bool has_prev = prev_rec != nullptr;
   if (has_prev && prev_rec->position == cur_rec->position) {

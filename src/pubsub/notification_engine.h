@@ -6,7 +6,7 @@
 // epoch even when almost nobody moved.  NotificationEngine inverts the
 // join: each drain() publishes the directory's snapshot, takes the set of
 // users whose record changed since the previously drained epoch (the
-// ingest delta ShardedDirectory tracks), and matches only those users
+// ingest delta the snapshot carries), and matches only those users
 // against the SubscriptionIndex.  Work per epoch is O(moved users x
 // covering subscriptions) — independent of the resident subscription
 // count and of the population that stood still.
@@ -51,11 +51,13 @@
 // serialized notification stream is therefore byte-identical across shard
 // and thread counts — bench_notifications aborts on divergence.
 //
-// Fallbacks: when the engine fell behind the directory's retained delta
-// history (or deltas are not tracked), drain() rescans every resident
-// user — the full-rescan path the incremental one is benchmarked against.
-// The first drain has no previous epoch, so every resident user is new
-// and geofence/range subscriptions fire enters only.
+// Two sources of candidates: the snapshot's delta, when it starts at the
+// epoch this engine last drained, and otherwise every resident user.  The
+// first drain has no previous epoch, so every resident user is new and
+// geofence/range subscriptions fire enters only.  A later rescan — the
+// directory tracks no deltas, or another reader published in between —
+// counts in full_rescans; it is the path the incremental one is
+// benchmarked against.
 #pragma once
 
 #include <cstdint>
@@ -105,10 +107,6 @@ class NotificationEngine {
     /// Match fan-out.  0 = hardware threads; 1 = fully serial.  Emitted
     /// notifications never depend on this.
     std::size_t threads = 0;
-    /// Release the directory's delta history for epochs this engine has
-    /// consumed (single-consumer deployments; turn off when several
-    /// engines drain one directory).
-    bool trim_consumed = true;
   };
 
   /// match_latency() times every Nth candidate user.  Sampling keeps the
@@ -127,7 +125,9 @@ class NotificationEngine {
     std::uint64_t leaves = 0;
     std::uint64_t moves = 0;
     std::uint64_t friend_events = 0;
-    std::uint64_t full_rescans = 0;  ///< delta history lost -> rescan
+    /// Drains after the first that rescanned every resident user because
+    /// the snapshot carried no delta from the last drained epoch.
+    std::uint64_t full_rescans = 0;
     std::uint64_t last_epoch = 0;    ///< epoch of the last drained snapshot
   };
 
@@ -188,23 +188,20 @@ class NotificationEngine {
     metrics::LatencyHistogram hist;
   };
 
-  /// Matches one candidate user given its pre-resolved records.
+  /// Matches one candidate user given its pre-resolved records, staging
+  /// its notifications in state.out and its counts in state.tally.
   void match_user(UserId user, const mobility::LocationRecord* cur_rec,
                   const mobility::LocationRecord* prev_rec,
-                  std::vector<Notification>& out, TaskState& state,
-                  Counters& c) const;
+                  TaskState& state) const;
 
   /// Runs one task's contiguous chunk of the delta: bulk-locates the
   /// chunk's records, then matches each user (timing sampled).
   void run_chunk(std::span<const UserId> delta, std::size_t lo,
                  std::size_t hi, const mobility::DirectorySnapshot& cur,
-                 const mobility::DirectorySnapshot* prev,
-                 std::vector<Notification>& out, TaskState& state,
-                 Counters& c);
+                 const mobility::DirectorySnapshot* prev, TaskState& state);
 
   mobility::ShardedDirectory& directory_;
   SubscriptionIndex& subs_;
-  Options options_;
   Counters counters_;
   metrics::LatencyHistogram match_hist_;
   common::WorkerPool pool_;

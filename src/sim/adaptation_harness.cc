@@ -21,6 +21,17 @@ double elapsed_us(Clock::time_point since) {
       .count();
 }
 
+/// Random-walk step (miles/tick) of a reporting user; a kHotspotJumpRate
+/// share of reports teleports to a hot-spot-weighted point instead,
+/// keeping hot regions populated.
+constexpr double kMoveStep = 1.5;
+constexpr double kHotspotJumpRate = 0.15;
+/// k of every k-nearest query.
+constexpr std::uint32_t kNearestK = 8;
+/// Migration retry budget per event; the last pass always runs without the
+/// dropping filter so the migration is guaranteed to complete.
+constexpr std::size_t kMaxMigrationPasses = 6;
+
 double reflect(double v, double lo, double hi) {
   while (v < lo || v > hi) {
     if (v < lo) v = lo + (lo - v);
@@ -57,9 +68,7 @@ AdaptationHarness::AdaptationHarness(overlay::Partition& partition,
       live_partition_(partition),
       ref_partition_(partition),
       field_(field),
-      injector_(FaultInjector::Options{options_.fault, options_.seed,
-                                       options_.drop_rate,
-                                       options_.delay_fraction}),
+      injector_(FaultInjector::Options{options_.fault, options_.seed}),
       subs_(field.plane()) {
   std::sort(options_.event_ticks.begin(), options_.event_ticks.end());
 
@@ -81,9 +90,9 @@ AdaptationHarness::AdaptationHarness(overlay::Partition& partition,
 
   live_notify_ = std::make_unique<pubsub::NotificationEngine>(
       *live_dir_, subs_,
-      pubsub::NotificationEngine::Options{options_.notify_threads, true});
+      pubsub::NotificationEngine::Options{.threads = options_.notify_threads});
   ref_notify_ = std::make_unique<pubsub::NotificationEngine>(
-      *ref_dir_, subs_, pubsub::NotificationEngine::Options{1, true});
+      *ref_dir_, subs_, pubsub::NotificationEngine::Options{.threads = 1});
 
   driver_ = std::make_unique<loadbalance::AdaptationDriver>(
       live_partition_,
@@ -150,11 +159,11 @@ std::vector<mobility::LocationRecord> AdaptationHarness::make_batch(
                          rng.chance(options_.report_rate);
     if (!reports) continue;
     Point& pos = positions_[i];
-    if (rng.chance(options_.hotspot_jump_rate)) {
+    if (rng.chance(kHotspotJumpRate)) {
       pos = field_.sample_weighted_point(rng);
     } else {
       const double angle = rng.uniform(0.0, 2.0 * std::numbers::pi);
-      const double step = rng.uniform(0.0, options_.move_step);
+      const double step = rng.uniform(0.0, kMoveStep);
       pos.x = reflect(pos.x + step * std::cos(angle), plane.x, plane.right());
       pos.y = reflect(pos.y + step * std::sin(angle), plane.y, plane.top());
     }
@@ -188,7 +197,7 @@ std::vector<mobility::Query> AdaptationHarness::make_queries(Rng& rng) {
       }
       default: {
         queries.push_back(mobility::Query::nearest(
-            field_.sample_weighted_point(rng), options_.knn_k));
+            field_.sample_weighted_point(rng), kNearestK));
         break;
       }
     }
@@ -291,9 +300,9 @@ void AdaptationHarness::do_failover() {
 }
 
 void AdaptationHarness::migrate_with_retries() {
-  for (std::size_t pass = 0; pass < options_.max_migration_passes; ++pass) {
+  for (std::size_t pass = 0; pass < kMaxMigrationPasses; ++pass) {
     mobility::ShardedDirectory::MigrationFilter filter;
-    if (injector_.drops_transfers(pass, options_.max_migration_passes)) {
+    if (injector_.drops_transfers(pass, kMaxMigrationPasses)) {
       filter = [this](UserId, RegionId, RegionId) {
         return !injector_.drop_transfer();
       };
@@ -354,7 +363,7 @@ void AdaptationHarness::adaptation_event() {
   migrate_with_retries();
   report_.adaptation_stall_us +=
       static_cast<std::uint64_t>(elapsed_us(start));
-  if (options_.verify_migration) verify_migration();
+  verify_migration();
 }
 
 void AdaptationHarness::check_parity() {
@@ -426,6 +435,7 @@ AdaptationHarness::Report AdaptationHarness::run() {
       check_parity();
     }
   }
+  report_.notify_rescans = live_notify_->counters().full_rescans;
   return report_;
 }
 

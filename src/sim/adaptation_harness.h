@@ -72,13 +72,8 @@ class AdaptationHarness {
     /// exercised: migrated-but-silent users enter the delta without a
     /// report and must not produce notifications.
     double report_rate = 1.0;
-    /// Random-walk step (miles/tick); a fraction of users teleports to a
-    /// hot-spot-weighted point instead, keeping hot regions populated.
-    double move_step = 1.5;
-    double hotspot_jump_rate = 0.15;
     std::size_t queries_per_tick = 96;
     std::size_t subscriptions = 96;
-    std::uint32_t knn_k = 8;
     /// Latency sampling granularity: each tick's update batch and query
     /// batch run in this many timed sub-batches.
     std::size_t sub_batches = 4;
@@ -97,15 +92,7 @@ class AdaptationHarness {
     loadbalance::PlannerConfig planner{};
 
     FaultKind fault = FaultKind::kNone;
-    double drop_rate = 0.35;
-    double delay_fraction = 0.25;
-    /// Migration retry budget per event; the last pass always runs without
-    /// the dropping filter so the migration is guaranteed to complete.
-    std::size_t max_migration_passes = 6;
 
-    /// Byte-compare the migrated directory against one rebuilt from
-    /// scratch on the adapted partition after every event.
-    bool verify_migration = true;
     /// Per-user record parity live-vs-reference every tick (tests) or only
     /// at events and the final tick (bench scale).
     bool deep_parity_every_tick = true;
@@ -152,6 +139,10 @@ class AdaptationHarness {
     std::uint64_t updates_sent = 0;
     std::uint64_t queries_run = 0;
     std::uint64_t notifications = 0;
+    /// The live notification engine's full_rescans: drains whose snapshot
+    /// carried no delta from the previous drain.  Migration epochs and the
+    /// query engine's publishes must never cause one.
+    std::uint64_t notify_rescans = 0;
     double update_secs = 0.0;  ///< live-directory ingest wall time
     double query_secs = 0.0;   ///< live-engine query wall time
 

@@ -47,11 +47,12 @@ class FaultInjector {
   struct Options {
     FaultKind kind = FaultKind::kNone;
     std::uint64_t seed = 1;
-    /// P(one migration transfer is vetoed) per pass (kDroppedTransfer).
-    double drop_rate = 0.35;
-    /// Fraction of a tick's update batch delivered late (kDelayedHandoff).
-    double delay_fraction = 0.25;
   };
+
+  /// P(one migration transfer is vetoed) per pass (kDroppedTransfer).
+  static constexpr double kDropRate = 0.35;
+  /// Fraction of a tick's update batch delivered late (kDelayedHandoff).
+  static constexpr double kDelayFraction = 0.25;
 
   struct Counters {
     std::uint64_t transfers_dropped = 0;
@@ -77,7 +78,7 @@ class FaultInjector {
   /// One transfer's fate this pass (called in user-sorted transfer order,
   /// so the stream is shard-count independent).  True = veto.
   bool drop_transfer() {
-    const bool drop = rng_.chance(options_.drop_rate);
+    const bool drop = rng_.chance(kDropRate);
     if (drop) ++counters_.transfers_dropped;
     return drop;
   }
@@ -89,7 +90,7 @@ class FaultInjector {
       return 0;
     }
     const auto tail = static_cast<std::size_t>(
-        static_cast<double>(batch_size) * options_.delay_fraction);
+        static_cast<double>(batch_size) * kDelayFraction);
     counters_.updates_delayed += tail;
     return tail;
   }

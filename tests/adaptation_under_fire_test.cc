@@ -13,6 +13,8 @@
 //   * byte-identical notification streams (continuity across failover)
 //     and zero duplicate notifications,
 //   * migrated-vs-rebuilt snapshot byte equality after every adaptation,
+//   * every notification drain after the first matched the snapshot's
+//     delta, never a full rescan,
 //   * the targeted mechanism actually executed (the matrix is not
 //     vacuous), with per-fault activity counters proving the fault fired.
 #include <gtest/gtest.h>
@@ -67,6 +69,9 @@ void expect_clean(const AdaptationHarness::Report& r) {
   EXPECT_EQ(r.duplicate_notifications, 0u);
   EXPECT_EQ(r.migration_verify_failures, 0u);
   EXPECT_TRUE(r.clean());
+  // Migration epochs and the query engine's publishes never cost the live
+  // notification engine its delta.
+  EXPECT_EQ(r.notify_rescans, 0u);
 }
 
 class MechanismFaultMatrix

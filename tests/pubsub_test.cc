@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "mobility/motion.h"
+#include "mobility/query_engine.h"
 #include "mobility/sharded_directory.h"
 #include "overlay/partition.h"
 #include "partition_fixture.h"
@@ -453,19 +454,6 @@ TEST(NotificationEngine, DrainWithoutNewEpochEmitsNothing) {
   EXPECT_TRUE(engine.drain().empty());
 }
 
-TEST(NotificationEngine, TrimConsumedReleasesDeltaHistory) {
-  QuadrantFixture fx;
-  ShardedDirectory dir(fx.partition, {.shards = 2, .track_deltas = true});
-  SubscriptionIndex subs(kPlane);
-  NotificationEngine engine(dir, subs, {.threads = 1});
-  dir.apply_updates(std::vector<LocationRecord>{rec(1, 10, 10, 1)});
-  dir.apply_updates(std::vector<LocationRecord>{rec(1, 11, 11, 2)});
-  EXPECT_EQ(dir.epoch_deltas().size(), 2u);
-  engine.drain();
-  EXPECT_TRUE(dir.epoch_deltas().empty());  // consumed epochs released
-  EXPECT_EQ(dir.delta_floor(), 2u);
-}
-
 TEST(NotificationEngine, ToNotifyCarriesFilterAsTopic) {
   QuadrantFixture fx;
   ShardedDirectory dir(fx.partition, {.shards = 2, .track_deltas = true});
@@ -700,24 +688,26 @@ TEST(NotificationEngine, IncrementalAgreesWithFullRescan) {
             rescan.counters().delta_users);
 }
 
-TEST(NotificationEngine, RecoversWhenDeltaHistoryWasTrimmed) {
-  // An engine that falls behind the directory's retained history must
-  // detect the gap and full-rescan instead of missing events.
+TEST(NotificationEngine, RescansWhenAnotherReaderPublishedBetweenDrains) {
+  // A snapshot's delta covers only the epochs since the previous publish.
+  // When another reader published after this engine's last drain, the
+  // engine must detect the gap and full-rescan instead of missing events.
   QuadrantFixture fx;
-  ShardedDirectory dir(
-      fx.partition,
-      {.shards = 2, .track_deltas = true, .delta_retention = 1});
+  ShardedDirectory dir(fx.partition, {.shards = 2, .track_deltas = true});
   SubscriptionIndex subs(kPlane);
   subs.subscribe(sub_msg(1, Rect{8, 8, 8, 8}));
-  NotificationEngine engine(dir, subs,
-                            {.threads = 1, .trim_consumed = false});
+  NotificationEngine engine(dir, subs, {.threads = 1});
 
   dir.apply_updates(std::vector<LocationRecord>{rec(7, 40, 40, 1)});
   EXPECT_TRUE(engine.drain().empty());  // outside the fence
 
-  // Two epochs pass without a drain; retention=1 discards the first, so
-  // the published snapshot can no longer carry a delta back to epoch 1.
+  // User 7 enters the fence, and a query engine publishes that epoch
+  // before the notification engine drains it.
   dir.apply_updates(std::vector<LocationRecord>{rec(7, 12, 12, 2)});
+  mobility::QueryEngine queries(dir, {.threads = 1});
+  ASSERT_TRUE(queries.run(std::vector<mobility::Query>{
+                               mobility::Query::locate(UserId{7})})[0]
+                  .found);
   dir.apply_updates(std::vector<LocationRecord>{rec(8, 50, 50, 1)});
   const auto batch = engine.drain();
   ASSERT_EQ(batch.size(), 1u);  // the enter was not lost
@@ -751,9 +741,10 @@ TEST(NotificationEngine, RegionMigrationEmitsNoSpuriousNotifications) {
   fx.partition.merge(sw, fx.partition.locate({48, 16}));
   const auto rpt = dir.migrate_regions();
   EXPECT_EQ(rpt.moved, 2u);
-  const auto delta = dir.changed_since(dir.ingest_epoch() - 1);
-  ASSERT_TRUE(delta.has_value());
-  EXPECT_EQ(*delta, (std::vector<UserId>{UserId{20}, UserId{21}}));
+  const auto snap = dir.publish_snapshot();
+  EXPECT_EQ(snap->delta_base_epoch(), engine.counters().last_epoch);
+  EXPECT_EQ(std::vector<UserId>(snap->delta().begin(), snap->delta().end()),
+            (std::vector<UserId>{UserId{20}, UserId{21}}));
 
   const auto batch = engine.drain();
   EXPECT_TRUE(batch.empty()) << "migration alone must be silent";

@@ -137,7 +137,7 @@ TEST(QueryEngine, ResultsInvariantAcrossShardAndThreadCounts) {
       const auto results = engine.run(queries);
       ASSERT_EQ(results.size(), queries.size());
       const auto bytes = result_bytes(results);
-      const auto snap_bytes = snapshot_bytes(*dir.current_snapshot());
+      const auto snap_bytes = snapshot_bytes(*dir.publish_snapshot());
       if (reference.empty()) {
         reference = bytes;
         reference_snapshot = snap_bytes;
@@ -545,10 +545,11 @@ TEST(QueryEngine, ConcurrentIngestNeverTearsASnapshot) {
 
   std::thread reader([&] {
     QueryEngine engine(dir, {.threads = 1});
+    common::EpochDomain::Reader slot = dir.register_reader();
     std::uint64_t last_epoch = 0;
     while (!done.load(std::memory_order_acquire)) {
-      const auto snap = dir.current_snapshot();
-      if (snap == nullptr) continue;
+      common::EpochDomain::Guard pin(slot);
+      const DirectorySnapshot* snap = dir.pinned_snapshot();
       const auto results = engine.run_on(*snap, locates);
       std::uint64_t seen_seq = 0;
       for (const auto& r : results) {
@@ -580,7 +581,7 @@ TEST(QueryEngine, ConcurrentIngestNeverTearsASnapshot) {
   EXPECT_EQ(violations.load(), 0u);
   EXPECT_GT(snapshots_read.load(), 0u);
   EXPECT_GE(distinct_epochs.load(), 1u);
-  EXPECT_EQ(dir.current_snapshot()->epoch(), kEpochs);
+  EXPECT_EQ(dir.publish_snapshot()->epoch(), kEpochs);
   // The reader raced real body reuse, recycled and cloned.
   EXPECT_GT(dir.counters().snapshot_slices_recycled, 0u);
   EXPECT_GT(dir.counters().snapshot_slices_cloned, 0u);

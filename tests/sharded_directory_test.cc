@@ -51,6 +51,10 @@ std::vector<std::byte> snapshot(const ShardedDirectory& dir) {
   return std::move(w).take();
 }
 
+std::vector<UserId> delta_of(const DirectorySnapshot& snap) {
+  return {snap.delta().begin(), snap.delta().end()};
+}
+
 TEST(ShardedDirectory, ShardCountInvariance) {
   // The acceptance-criteria test: the same update trace through K=1 and
   // K=8 must leave byte-identical serialized stores and equal counters.
@@ -358,48 +362,97 @@ TEST(ShardedDirectory, ObservesPartitionSplitsBetweenBatches) {
 }
 
 TEST(ShardedDirectory, DeltaTrackingRecordsAppliedUsersPerEpoch) {
+  // Each snapshot carries the users applied since the previous publish,
+  // sorted and deduplicated; a record the seq guard rejects dirties
+  // nobody.
   QuadrantFixture fx;
   ShardedDirectory dir(fx.partition, {.shards = 4, .track_deltas = true});
-  ASSERT_TRUE(dir.tracks_deltas());
 
   dir.apply_updates(std::vector<LocationRecord>{
       rec(3, 10, 10, 1), rec(1, 10, 10, 1), rec(2, 50, 50, 1)});
+  const auto s1 = dir.publish_snapshot();
+  ASSERT_TRUE(s1->has_delta());
+  EXPECT_EQ(s1->delta_base_epoch(), 0u);
+  EXPECT_EQ(delta_of(*s1),
+            (std::vector<UserId>{UserId{1}, UserId{2}, UserId{3}}));
+
   // Epoch 2: one applied record; the seq-replay must not dirty user 2.
   dir.apply_updates(std::vector<LocationRecord>{
       rec(1, 11, 11, 2), rec(2, 50, 50, 1)});
+  // Epoch 3: user 1 applied twice in one batch, user 3 once.
+  dir.apply_updates(std::vector<LocationRecord>{
+      rec(1, 12, 12, 3), rec(3, 11, 11, 2), rec(1, 13, 13, 4)});
+  const auto s3 = dir.publish_snapshot();
+  EXPECT_EQ(s3->epoch(), 3u);
+  EXPECT_EQ(s3->delta_base_epoch(), 1u);
+  EXPECT_EQ(delta_of(*s3), (std::vector<UserId>{UserId{1}, UserId{3}}));
 
-  ASSERT_EQ(dir.epoch_deltas().size(), 2u);
-  EXPECT_EQ(dir.epoch_deltas()[0].epoch, 1u);
-  EXPECT_EQ(dir.epoch_deltas()[1].epoch, 2u);
-  EXPECT_EQ(dir.epoch_deltas()[1].users,
-            (std::vector<UserId>{UserId{1}}));
-
-  const auto all = dir.changed_since(0);
-  ASSERT_TRUE(all.has_value());  // sorted + deduplicated union
-  EXPECT_EQ(*all, (std::vector<UserId>{UserId{1}, UserId{2}, UserId{3}}));
-  const auto recent = dir.changed_since(1);
-  ASSERT_TRUE(recent.has_value());
-  EXPECT_EQ(*recent, (std::vector<UserId>{UserId{1}}));
-  const auto none = dir.changed_since(dir.ingest_epoch());
-  ASSERT_TRUE(none.has_value());
-  EXPECT_TRUE(none->empty());
+  // Publishing again at the same epoch hands back the same snapshot, and
+  // the next delta starts where it ended.
+  EXPECT_EQ(dir.publish_snapshot(), s3);
+  dir.apply_updates(std::vector<LocationRecord>{rec(2, 51, 51, 2)});
+  const auto s4 = dir.publish_snapshot();
+  EXPECT_EQ(s4->delta_base_epoch(), 3u);
+  EXPECT_EQ(delta_of(*s4), (std::vector<UserId>{UserId{2}}));
 }
 
 TEST(ShardedDirectory, DeltaIsShardCountInvariant) {
+  // A third of the users report each tick, and the directories publish
+  // after epochs 1, 2, 4, 7 and 10, so deltas span one to three epochs.
   QuadrantFixture fx;
   ShardedDirectory serial(fx.partition, {.shards = 1, .track_deltas = true});
   ShardedDirectory sharded(fx.partition, {.shards = 8, .track_deltas = true});
+  std::uint64_t tick = 0;
   for (const auto& batch : make_trace(200, 10, 31)) {
-    serial.apply_updates(batch);
-    sharded.apply_updates(batch);
+    ++tick;
+    std::vector<LocationRecord> some;
+    for (const LocationRecord& r : batch) {
+      if (tick == 1 || (r.user.value + tick) % 3 == 0) some.push_back(r);
+    }
+    serial.apply_updates(some);
+    sharded.apply_updates(some);
+    if (tick != 1 && tick != 2 && tick != 4 && tick != 7 && tick != 10) {
+      continue;
+    }
+    const auto a = serial.publish_snapshot();
+    const auto b = sharded.publish_snapshot();
+    EXPECT_EQ(a->delta_base_epoch(), b->delta_base_epoch());
+    EXPECT_FALSE(a->delta().empty());
+    EXPECT_EQ(delta_of(*a), delta_of(*b)) << "epoch=" << a->epoch();
   }
-  for (std::uint64_t since = 0; since <= 10; ++since) {
-    const auto a = serial.changed_since(since);
-    const auto b = sharded.changed_since(since);
-    ASSERT_TRUE(a.has_value());
-    ASSERT_TRUE(b.has_value());
-    EXPECT_EQ(*a, *b) << "since=" << since;
+}
+
+TEST(ShardedDirectory, DeltaStaysExactAcrossFiftyUnpublishedBatches) {
+  // Nobody publishes for 50 batches: the pending list passes twice the 12
+  // resident users every few batches and is deduplicated in place each
+  // time.  The next snapshot's delta still names exactly the users
+  // applied since the last publish.
+  QuadrantFixture fx;
+  ShardedDirectory dir(fx.partition, {.shards = 4, .track_deltas = true});
+  std::vector<LocationRecord> place;
+  for (std::uint32_t u = 1; u <= 12; ++u) {
+    place.push_back(rec(u, 4.0 * u, 60.0 - 4.0 * u, 1));
   }
+  dir.apply_updates(place);
+  const auto base = dir.publish_snapshot();
+
+  dir.apply_updates(std::vector<LocationRecord>{rec(12, 30, 30, 2)});
+  for (std::uint64_t b = 0; b < 50; ++b) {
+    std::vector<LocationRecord> batch;
+    for (std::uint32_t u = 1; u <= 5; ++u) {
+      batch.push_back(rec(u, 1.0 + static_cast<double>(b), 2.0 * u, b + 2));
+    }
+    batch.push_back(rec(7, 1, 1, 1));  // replayed seq: rejected, not pending
+    dir.apply_updates(batch);
+  }
+  EXPECT_EQ(dir.counters().updates_stale, 50u);
+
+  const auto snap = dir.publish_snapshot();
+  EXPECT_EQ(snap->epoch(), base->epoch() + 51);
+  EXPECT_EQ(snap->delta_base_epoch(), base->epoch());
+  EXPECT_EQ(delta_of(*snap),
+            (std::vector<UserId>{UserId{1}, UserId{2}, UserId{3}, UserId{4},
+                                 UserId{5}, UserId{12}}));
 }
 
 TEST(ShardedDirectory, DeltaSurvivesCowSliceSharingAcrossPublishes) {
@@ -466,49 +519,18 @@ TEST(ShardedDirectory, DeltaSurvivesCowSliceSharingAcrossPublishes) {
             (std::vector<UserId>{UserId{4}}));
 }
 
-TEST(ShardedDirectory, DeltaRetentionTrimsOldestAndChangedSinceFallsBack) {
-  QuadrantFixture fx;
-  ShardedDirectory dir(
-      fx.partition,
-      {.shards = 2, .track_deltas = true, .delta_retention = 2});
-  for (std::uint64_t e = 1; e <= 4; ++e) {
-    dir.apply_updates(std::vector<LocationRecord>{
-        rec(static_cast<std::uint32_t>(e), 10, 10, 1)});
-  }
-  EXPECT_EQ(dir.epoch_deltas().size(), 2u);
-  EXPECT_EQ(dir.delta_floor(), 2u);  // epochs 1 and 2 discarded
-  EXPECT_FALSE(dir.changed_since(0).has_value());  // predates retained history
-  EXPECT_FALSE(dir.changed_since(1).has_value());
-  const auto from_floor = dir.changed_since(2);
-  ASSERT_TRUE(from_floor.has_value());
-  EXPECT_EQ(*from_floor, (std::vector<UserId>{UserId{3}, UserId{4}}));
-}
-
-TEST(ShardedDirectory, TrimDeltasRaisesFloor) {
-  QuadrantFixture fx;
-  ShardedDirectory dir(fx.partition, {.shards = 2, .track_deltas = true});
-  for (std::uint64_t e = 1; e <= 3; ++e) {
-    dir.apply_updates(std::vector<LocationRecord>{
-        rec(static_cast<std::uint32_t>(e), 10, 10, 1)});
-  }
-  dir.trim_deltas(2);
-  EXPECT_EQ(dir.delta_floor(), 2u);
-  EXPECT_EQ(dir.epoch_deltas().size(), 1u);
-  EXPECT_FALSE(dir.changed_since(1).has_value());
-  ASSERT_TRUE(dir.changed_since(2).has_value());
-  EXPECT_EQ(*dir.changed_since(2), (std::vector<UserId>{UserId{3}}));
-}
-
 TEST(ShardedDirectory, DeltasOffByDefault) {
   QuadrantFixture fx;
   ShardedDirectory dir(fx.partition, {.shards = 2});
-  EXPECT_FALSE(dir.tracks_deltas());
   dir.apply_updates(std::vector<LocationRecord>{rec(1, 10, 10, 1)});
-  EXPECT_TRUE(dir.epoch_deltas().empty());
-  EXPECT_FALSE(dir.changed_since(0).has_value());
-  const auto snap = dir.publish_snapshot();
-  EXPECT_FALSE(snap->has_delta());
-  EXPECT_TRUE(snap->delta().empty());
+  const auto first = dir.publish_snapshot();
+  EXPECT_FALSE(first->has_delta());
+  EXPECT_TRUE(first->delta().empty());
+  dir.apply_updates(std::vector<LocationRecord>{rec(1, 11, 11, 2)});
+  const auto second = dir.publish_snapshot();
+  EXPECT_EQ(second->delta_base_epoch(), first->epoch());
+  EXPECT_FALSE(second->has_delta());
+  EXPECT_TRUE(second->delta().empty());
 }
 
 TEST(ShardedDirectory, DefaultShardCountUsesHardware) {
@@ -576,28 +598,25 @@ TEST(ShardedDirectory, MigrateRegionsRehomesRecordsAfterMerge) {
 
 TEST(ShardedDirectory, ChangedSinceReportsUsersVanishedViaMigration) {
   // A consumer diffing epochs must learn that the SE users' records moved
-  // even though no update for them was ingested: migration pushes its own
-  // epoch delta.
+  // even though no update for them was ingested: migration is an epoch,
+  // and its users join the next snapshot's delta.
   QuadrantFixture fx;
   ShardedDirectory dir(fx.partition, {.shards = 4, .track_deltas = true});
   dir.apply_updates(quadrant_population());
-  const std::uint64_t before = dir.ingest_epoch();
+  const auto before = dir.publish_snapshot();
 
   const RegionId sw = fx.partition.locate({16, 16});
   fx.partition.merge(sw, fx.partition.locate({48, 16}));
   dir.migrate_regions();
 
-  EXPECT_EQ(dir.ingest_epoch(), before + 1);  // migration is an epoch
-  const auto delta = dir.changed_since(before);
-  ASSERT_TRUE(delta.has_value());
-  EXPECT_EQ(*delta,
-            (std::vector<UserId>{UserId{4}, UserId{5}, UserId{6}}));
-  ASSERT_FALSE(dir.epoch_deltas().empty());
-  EXPECT_EQ(dir.epoch_deltas().back().epoch, before + 1);
-
-  // A published snapshot after migration reflects the new homes.
+  EXPECT_EQ(dir.ingest_epoch(), before->epoch() + 1);  // migration is an epoch
   const auto snap = dir.publish_snapshot();
   EXPECT_EQ(snap->epoch(), dir.ingest_epoch());
+  EXPECT_EQ(snap->delta_base_epoch(), before->epoch());
+  EXPECT_EQ(delta_of(*snap),
+            (std::vector<UserId>{UserId{4}, UserId{5}, UserId{6}}));
+
+  // The snapshot reflects the new homes.
   net::Writer a, b;
   snap->serialize(a);
   dir.serialize(b);
@@ -608,15 +627,18 @@ TEST(ShardedDirectory, MigrationNoOpWhenNothingMisplaced) {
   QuadrantFixture fx;
   ShardedDirectory dir(fx.partition, {.shards = 2, .track_deltas = true});
   dir.apply_updates(quadrant_population());
-  const std::uint64_t epoch = dir.ingest_epoch();
-  const auto deltas = dir.epoch_deltas().size();
+  const auto published = dir.publish_snapshot();
 
   const auto rpt = dir.migrate_regions();
   EXPECT_TRUE(rpt.complete());
   EXPECT_EQ(rpt.moved, 0u);
   EXPECT_EQ(rpt.stores_retired, 0u);
-  EXPECT_EQ(dir.ingest_epoch(), epoch);  // no work -> no epoch, no delta
-  EXPECT_EQ(dir.epoch_deltas().size(), deltas);
+  EXPECT_EQ(dir.ingest_epoch(), published->epoch());  // no work -> no epoch
+  EXPECT_EQ(dir.publish_snapshot(), published);
+  // ... and no delta: the next snapshot names only the next batch's user.
+  dir.apply_updates(std::vector<LocationRecord>{rec(1, 17, 20, 2)});
+  EXPECT_EQ(delta_of(*dir.publish_snapshot()),
+            (std::vector<UserId>{UserId{1}}));
 }
 
 TEST(ShardedDirectory, MigrationFilterDropLeavesRecordForRetry) {
@@ -662,6 +684,8 @@ TEST(ShardedDirectory, MigrationIsShardCountInvariant) {
     serial.apply_updates(batch);
     sharded.apply_updates(batch);
   }
+  serial.publish_snapshot();
+  sharded.publish_snapshot();
   for (auto* fx : {&fx1, &fx8}) {
     fx->partition.merge(fx->partition.locate({16, 16}),
                         fx->partition.locate({48, 16}));
@@ -669,13 +693,13 @@ TEST(ShardedDirectory, MigrationIsShardCountInvariant) {
   const auto a = serial.migrate_regions();
   const auto b = sharded.migrate_regions();
   EXPECT_EQ(a.moved, b.moved);
+  EXPECT_GT(a.moved, 0u);
   EXPECT_EQ(a.stores_retired, b.stores_retired);
   EXPECT_EQ(snapshot(serial), snapshot(sharded));
-  const auto da = serial.changed_since(serial.ingest_epoch() - 1);
-  const auto db = sharded.changed_since(sharded.ingest_epoch() - 1);
-  ASSERT_TRUE(da.has_value());
-  ASSERT_TRUE(db.has_value());
-  EXPECT_EQ(*da, *db);
+  const auto da = serial.publish_snapshot();
+  const auto db = sharded.publish_snapshot();
+  EXPECT_EQ(da->delta().size(), a.moved);
+  EXPECT_EQ(delta_of(*da), delta_of(*db));
 }
 
 TEST(ShardedDirectory, MigrationAfterSplitMovesOnlyTheSplitHalf) {
