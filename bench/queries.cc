@@ -13,7 +13,8 @@
 //              DirectorySnapshot: grid-indexed region discovery through
 //              the shared RegionResolver, still single-threaded
 //   parallel — QueryEngine swept over explicit thread counts (1, 2, 4, 8,
-//              16) on the run_pinned epoch-reclamation hot path; the
+//              16) on the pinned-snapshot read path (a registered
+//              reader, an EpochDomain::Guard per batch, run_on); the
 //              headline parallel number is the 8-thread entry, recorded
 //              with the host's core count so a scaling gate can judge the
 //              curve against what the machine could physically deliver
@@ -254,11 +255,12 @@ void measure(bench::Report& report, std::size_t user_count,
   }
 
   // --- parallel engine thread sweep, pinned-snapshot hot path ----------
-  // One publish up front; every engine in the sweep then acquires the
-  // snapshot through run_pinned (epoch reclamation, no shared refcount) —
-  // the concurrent-reader deployment measured at each thread count.
+  // One publish up front; every batch of the sweep then pins the snapshot
+  // through one registered reader (epoch reclamation, no shared refcount)
+  // — the concurrent-reader deployment measured at each thread count.
   // Every entry must reproduce the batched engine's bytes exactly.
   (void)dir.publish_snapshot();
+  common::EpochDomain::Reader reader = dir.register_reader();
   double parallel_rate = 0.0;
   std::size_t parallel_threads = 0;
   std::vector<bench::CurveEntry> curve;
@@ -269,7 +271,9 @@ void measure(bench::Report& report, std::size_t user_count,
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t lo = 0; lo < queries.size(); lo += kBatchSize) {
       const std::size_t n = std::min(kBatchSize, queries.size() - lo);
-      auto part = engine.run_pinned(std::span(queries).subspan(lo, n));
+      common::EpochDomain::Guard pin(reader);
+      auto part = engine.run_on(*dir.pinned_snapshot(),
+                                std::span(queries).subspan(lo, n));
       for (auto& res : part) all.push_back(std::move(res));
     }
     const double rate =

@@ -2,7 +2,7 @@
 """Interleaved parent/change pairs of the serving benchmark.
 
     python3 scripts/servebench_pairs.py --parent <tree> --change <tree> \
-        --workload <name> --seed <n> --pairs <n>
+        --workload <name> --seed <n> --pairs <n> [--trace]
 
 Each tree is a checkout of the repository (the parent commit and the
 change).  Every pair runs `servebench/run.py --seconds <s> --trace 0` once
@@ -26,6 +26,14 @@ differ: a change meant to keep the wire bytes should show one value on
 each side, the same one.  It exits non-zero
 when any run fails, is not `correct`, or reports `failed > 0`.  It gates
 nothing: reading the table is the caller's job.
+
+With --trace the pairs run `--trace 1` instead, and the table lists,
+for every `per_layer` metric of that BENCHMARK.json and for the figures
+a traced run prints without reporting them as metrics (TRACE_FIGURES),
+each side's values in run order, each side's median and the
+change/parent ratio of the medians.  A figure is read from the result
+JSON when it is there and otherwise from the run's `  <name> <value>
+<unit>` line.
 """
 
 import argparse
@@ -38,6 +46,10 @@ import sys
 
 SERVED_BYTES = re.compile(r"^\s*served\b.*\bwire bytes (\d+)\s*$")
 
+# Figures a traced run prints but does not report as metrics.
+TRACE_FIGURES = ["overlay.resolve_us_per_range", "pubsub.subscribe_us",
+                 "setup.subscribe_s", "pubsub.full_rescans"]
+
 
 def served_wire_bytes(lines):
     """The N of the run's `served ... wire bytes N` line, or None."""
@@ -48,18 +60,36 @@ def served_wire_bytes(lines):
     return None
 
 
-def run_once(tree, workload, seed, seconds):
+def printed_figures(lines):
+    """{name: value} of the run's `  <name> <value> <unit>` lines."""
+    figures = {}
+    for line in lines:
+        parts = line.split()
+        if len(parts) != 3:
+            continue
+        try:
+            figures[parts[0]] = float(parts[1])
+        except ValueError:
+            pass
+    return figures
+
+
+def run_once(tree, workload, seed, seconds, trace=False):
     """One run.py invocation in `tree`; returns (result dict, served wire
-    bytes, problem)."""
+    bytes, problem).  The result's "figures" holds every printed figure,
+    at the JSON's precision where the JSON has it."""
     cmd = [sys.executable, os.path.join("servebench", "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", "1" if trace else "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.rstrip("\n").split("\n")
     wire = served_wire_bytes(lines)
     try:
         result = json.loads(lines[-1])
-    except (json.JSONDecodeError, IndexError):
+        result["figures"] = printed_figures(lines[:-1])
+        result["figures"].update(
+            {n: m["value"] for n, m in result["metrics"].items()})
+    except (json.JSONDecodeError, IndexError, KeyError, TypeError):
         tail = proc.stderr.strip().split("\n")[-3:]
         return None, wire, (f"exit {proc.returncode}, no result "
                             f"({' | '.join(tail)})")
@@ -81,8 +111,8 @@ def quartiles(values):
 
 
 def benchmark_spec(tree):
-    """(run seconds, {end-to-end metric name: (bound, better)}) from the
-    tree's BENCHMARK.json."""
+    """(run seconds, {end-to-end metric name: (bound, better)}, per-layer
+    metric names) from the tree's BENCHMARK.json."""
     path = os.path.join(tree, "BENCHMARK.json")
     try:
         with open(path) as f:
@@ -91,9 +121,52 @@ def benchmark_spec(tree):
                    for m in spec["end_to_end"]}
         if any(b not in ("lower", "higher") for _, b in metrics.values()):
             raise ValueError("better must be lower or higher")
-        return spec["run_seconds"], metrics
+        return (spec["run_seconds"], metrics,
+                [m["name"] for m in spec.get("per_layer", [])])
     except (OSError, KeyError, TypeError, ValueError) as e:
         sys.exit(f"cannot read run_seconds and end_to_end from {path}: {e!r}")
+
+
+def print_end_to_end(values, spec):
+    """Each end-to-end metric's medians, quartiles, pairs won and spread."""
+    print(f"{'metric':<16} {'parent median [q1-q3]':<28} "
+          f"{'change median [q1-q3]':<28} {'ratio':>7} {'better':>7} "
+          f"{'gap>IQR':>8} {'IQR/med':>8} {'bound':>6}")
+    for n, (bound, better) in spec.items():
+        par, chg = values["parent"][n], values["change"][n]
+        if not par or not chg:
+            continue
+        pm, cm = statistics.median(par), statistics.median(chg)
+        pq1, pq3 = quartiles(par)
+        cq1, cq3 = quartiles(chg)
+        pairs = list(zip(par, chg))
+        won = sum(1 for x, y in pairs if (y < x if better == "lower"
+                                          else y > x))
+        ratio = cm / pm if pm else float("nan")
+        gap = abs(cm - pm) > (pq3 - pq1)
+        spread = (pq3 - pq1) / abs(pm) if pm else float("inf")
+        overlap = max(chg) >= min(par) and min(chg) <= max(par)
+        print(f"{n:<16} {f'{pm:.4g} [{pq1:.4g}-{pq3:.4g}]':<28} "
+              f"{f'{cm:.4g} [{cq1:.4g}-{cq3:.4g}]':<28} {ratio:>7.3f} "
+              f"{f'{won}/{len(pairs)}':>7} {'yes' if gap else 'no':>8} "
+              f"{spread:>8.1%} {bound:>6.0%}"
+              f"{'  unresolved' if spread > bound and overlap else ''}")
+
+
+def print_traced(values, names):
+    """Each figure's values per side, the medians and their ratio."""
+    print(f"{'figure':<40} {'parent med':>11} {'change med':>11} "
+          f"{'ratio':>7}  values (parent | change)")
+    for n in names:
+        par, chg = values["parent"][n], values["change"][n]
+        if not par and not chg:
+            continue
+        pm = statistics.median(par) if par else float("nan")
+        cm = statistics.median(chg) if chg else float("nan")
+        ratio = cm / pm if pm else float("nan")
+        print(f"{n:<40} {pm:>11.4g} {cm:>11.4g} {ratio:>7.3f}  " +
+              " ".join(f"{v:.4g}" for v in par) + " | " +
+              " ".join(f"{v:.4g}" for v in chg))
 
 
 def main():
@@ -103,11 +176,13 @@ def main():
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", required=True)
     p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--trace", action="store_true",
+                   help="run --trace 1 pairs and list the per-layer figures")
     a = p.parse_args()
     trees = {"parent": os.path.abspath(a.parent),
              "change": os.path.abspath(a.change)}
-    seconds, spec = benchmark_spec(trees["change"])
-    names = list(spec)
+    seconds, spec, per_layer = benchmark_spec(trees["change"])
+    names = per_layer + TRACE_FIGURES if a.trace else list(spec)
 
     # One short run per tree first: it builds the benchmark, so no timed
     # pair pays for a compile, and it fails fast on a wrong answer.
@@ -127,48 +202,29 @@ def main():
         row = []
         for side in order:
             result, served, problem = run_once(trees[side], a.workload,
-                                               a.seed, seconds)
+                                               a.seed, seconds, a.trace)
             if problem:
                 problems.append(f"pair {i + 1} {side}: {problem}")
             if served is not None:
                 wire[side].add(served)
             if result is None:
                 continue
-            metrics = result["metrics"]
-            for n in names:
-                if n in metrics:
-                    values[side][n].append(metrics[n]["value"])
-            row.append(f"{side} " + " ".join(
-                f"{n}={metrics[n]['value']:.4g}" for n in names
-                if n in metrics))
+            figures = result["figures"]
+            shown = [n for n in names if n in figures]
+            for n in shown:
+                values[side][n].append(figures[n])
+            row.append(f"{side} {len(shown)} figures" if a.trace else
+                       f"{side} " + " ".join(f"{n}={figures[n]:.4g}"
+                                             for n in shown))
         print(f"pair {i + 1}/{a.pairs} ({order[0]} first): " +
               "; ".join(row), flush=True)
 
     print(f"\n{a.workload} seed {a.seed}, {a.pairs} pairs, "
-          f"--seconds {seconds} --trace 0")
-    print(f"{'metric':<16} {'parent median [q1-q3]':<28} "
-          f"{'change median [q1-q3]':<28} {'ratio':>7} {'better':>7} "
-          f"{'gap>IQR':>8} {'IQR/med':>8} {'bound':>6}")
-    for n in names:
-        par, chg = values["parent"][n], values["change"][n]
-        if not par or not chg:
-            continue
-        bound, better = spec[n]
-        pm, cm = statistics.median(par), statistics.median(chg)
-        pq1, pq3 = quartiles(par)
-        cq1, cq3 = quartiles(chg)
-        pairs = list(zip(par, chg))
-        won = sum(1 for x, y in pairs if (y < x if better == "lower"
-                                          else y > x))
-        ratio = cm / pm if pm else float("nan")
-        gap = abs(cm - pm) > (pq3 - pq1)
-        spread = (pq3 - pq1) / abs(pm) if pm else float("inf")
-        overlap = max(chg) >= min(par) and min(chg) <= max(par)
-        print(f"{n:<16} {f'{pm:.4g} [{pq1:.4g}-{pq3:.4g}]':<28} "
-              f"{f'{cm:.4g} [{cq1:.4g}-{cq3:.4g}]':<28} {ratio:>7.3f} "
-              f"{f'{won}/{len(pairs)}':>7} {'yes' if gap else 'no':>8} "
-              f"{spread:>8.1%} {bound:>6.0%}"
-              f"{'  unresolved' if spread > bound and overlap else ''}")
+          f"--seconds {seconds} --trace {1 if a.trace else 0}")
+    if a.trace:
+        print_traced(values, names)
+    else:
+        print_end_to_end(values, spec)
     print("\nserved wire bytes: " + "; ".join(
         f"{side} {', '.join(str(b) for b in sorted(wire[side])) or 'none'}"
         for side in trees) +

@@ -149,8 +149,12 @@ class EpochDomain {
     std::atomic<bool> claimed{false};
   };
 
-  std::atomic<std::uint64_t> epoch_{1};
-  Slot slots_[kMaxReaders];
+  // The writer bumps epoch_ on every retire.  128 bytes keep it off the
+  // cacheline pair the adjacent-line prefetcher fetches with slot 0:
+  // packed one line apart, a reader pinned on slot 0 contended with every
+  // publish.
+  alignas(128) std::atomic<std::uint64_t> epoch_{1};
+  alignas(128) Slot slots_[kMaxReaders];
 };
 
 }  // namespace geogrid::common

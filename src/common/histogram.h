@@ -17,7 +17,6 @@ class Histogram {
 
   void add(double x) noexcept;
 
-  std::size_t bin_count() const noexcept { return counts_.size(); }
   std::size_t count(std::size_t bin) const { return counts_.at(bin); }
   std::size_t total() const noexcept { return total_; }
   double lo() const noexcept { return lo_; }

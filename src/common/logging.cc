@@ -28,7 +28,6 @@ constexpr std::string_view level_name(LogLevel level) {
 }  // namespace
 
 LogLevel log_level() noexcept { return g_level; }
-void set_log_level(LogLevel level) noexcept { g_level = level; }
 
 void init_logging_from_env() {
   const char* env = std::getenv("GEOGRID_LOG");

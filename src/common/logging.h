@@ -16,7 +16,6 @@ enum class LogLevel : int { kTrace = 0, kDebug = 1, kInfo = 2, kWarn = 3, kError
 /// Global log threshold; messages below it are skipped (and their streaming
 /// arguments never rendered).
 LogLevel log_level() noexcept;
-void set_log_level(LogLevel level) noexcept;
 
 /// Reads GEOGRID_LOG (trace|debug|info|warn|error|off) once at startup.
 void init_logging_from_env();

@@ -37,10 +37,6 @@ constexpr char mechanism_letter(Mechanism m) noexcept {
   return static_cast<char>('a' + static_cast<int>(m));
 }
 
-constexpr bool is_remote(Mechanism m) noexcept {
-  return static_cast<int>(m) >= static_cast<int>(Mechanism::kStealRemoteSecondary);
-}
-
 /// One planned adaptation.
 struct Plan {
   Mechanism mechanism = Mechanism::kStealSecondary;

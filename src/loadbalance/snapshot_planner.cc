@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "overlay/region.h"
 
@@ -39,6 +40,58 @@ Plan make_plan(Mechanism m, RegionId subject, RegionId partner) {
   return plan;
 }
 
+/// A candidate rule: the key a qualifying candidate is ranked by (the
+/// smallest wins), or nullopt when the candidate does not qualify.
+using Key = std::optional<double>;
+
+/// (a) and (f): a full donor whose secondary is stronger than the
+/// subject's primary, ranked by the donor's workload index.
+Key steal_secondary_key(const net::RegionSnapshot& subject,
+                        const net::RegionSnapshot& c) {
+  if (!c.full() || c.secondary->capacity <= subject.primary.capacity) {
+    return std::nullopt;
+  }
+  return c.workload_index;
+}
+
+/// (b) and (h): a stronger primary whose swap strictly lowers the pair's
+/// max workload index, ranked by that new max.
+Key switch_primary_key(const net::RegionSnapshot& subject,
+                       const net::RegionSnapshot& c) {
+  const double cap_primary = subject.primary.capacity;
+  const double cap_other = c.primary.capacity;
+  if (cap_other <= cap_primary) return std::nullopt;
+  const double old_max = std::max(
+      net::load_index(subject.load, cap_primary), c.workload_index);
+  const double new_max =
+      swapped_max_index(subject.load, c.load, cap_primary, cap_other);
+  if (new_max < old_max - 1e-12) return new_max;
+  return std::nullopt;
+}
+
+/// (e) and (g): a full donor whose secondary is stronger than the
+/// subject's primary, ranked by the subject's load on that secondary.
+Key switch_with_secondary_key(const net::RegionSnapshot& subject,
+                              const net::RegionSnapshot& c) {
+  if (!c.full() || c.secondary->capacity <= subject.primary.capacity) {
+    return std::nullopt;
+  }
+  return subject.load / c.secondary->capacity;
+}
+
+/// The plan pairing `subject` with the best candidate `rule` admits, or
+/// an invalid plan when none does.
+template <typename Rule>
+Plan best_plan(Mechanism m, const net::RegionSnapshot& subject,
+               std::span<const net::RegionSnapshot> candidates, Rule&& rule) {
+  Best best;
+  for (const auto& c : candidates) {
+    if (const Key key = rule(subject, c)) best.offer(c.region, *key);
+  }
+  return best.region.valid() ? make_plan(m, subject.region, best.region)
+                             : Plan{};
+}
+
 }  // namespace
 
 Plan plan_local(const net::RegionSnapshot& subject,
@@ -52,33 +105,17 @@ Plan plan_local(const net::RegionSnapshot& subject,
   // with the lowest workload index donates its secondary.
   if (config.mechanism_enabled(Mechanism::kStealSecondary) &&
       !subject.full()) {
-    Best best;
-    for (const auto& nb : neighbors) {
-      if (!nb.full()) continue;
-      if (nb.secondary->capacity <= cap_primary) continue;
-      best.offer(nb.region, nb.workload_index);
-    }
-    if (best.region.valid()) {
-      return make_plan(Mechanism::kStealSecondary, subject.region,
-                       best.region);
-    }
+    const Plan plan = best_plan(Mechanism::kStealSecondary, subject,
+                                neighbors, steal_secondary_key);
+    if (plan.valid) return plan;
   }
 
   // (b) Switch Primary Owners -- stronger neighbor primary, strict
   // improvement of the pairwise max index.
   if (config.mechanism_enabled(Mechanism::kSwitchPrimary)) {
-    Best best;
-    for (const auto& nb : neighbors) {
-      const double cap_other = nb.primary.capacity;
-      if (cap_other <= cap_primary) continue;
-      const double old_max = std::max(subject_index, nb.workload_index);
-      const double new_max =
-          swapped_max_index(subject_load, nb.load, cap_primary, cap_other);
-      if (new_max < old_max - 1e-12) best.offer(nb.region, new_max);
-    }
-    if (best.region.valid()) {
-      return make_plan(Mechanism::kSwitchPrimary, subject.region, best.region);
-    }
+    const Plan plan = best_plan(Mechanism::kSwitchPrimary, subject, neighbors,
+                                switch_primary_key);
+    if (plan.valid) return plan;
   }
 
   // (c) Merge with a Neighbor -- both half-full, rectangular union, merged
@@ -111,17 +148,8 @@ Plan plan_local(const net::RegionSnapshot& subject,
   // (e) Switch Primary with a Neighbor's Secondary -- subject full.
   if (config.mechanism_enabled(Mechanism::kSwitchWithNeighborSecondary) &&
       subject.full()) {
-    Best best;
-    for (const auto& nb : neighbors) {
-      if (!nb.full()) continue;
-      const double cap_secondary = nb.secondary->capacity;
-      if (cap_secondary <= cap_primary) continue;
-      best.offer(nb.region, subject_load / cap_secondary);
-    }
-    if (best.region.valid()) {
-      return make_plan(Mechanism::kSwitchWithNeighborSecondary,
-                       subject.region, best.region);
-    }
+    return best_plan(Mechanism::kSwitchWithNeighborSecondary, subject,
+                     neighbors, switch_with_secondary_key);
   }
 
   return Plan{};
@@ -130,59 +158,36 @@ Plan plan_local(const net::RegionSnapshot& subject,
 Plan plan_remote(const net::RegionSnapshot& subject,
                  std::span<const net::RegionSnapshot> candidates,
                  const PlannerConfig& config) {
-  const double cap_primary = subject.primary.capacity;
-  const double subject_load = subject.load;
-  const double subject_index = net::load_index(subject_load, cap_primary);
-
-  // (f) Steal Remote Secondary -- donor full, stronger secondary, less
-  // loaded than the subject.
+  // (f) Steal Remote Secondary -- (a)'s rule, from a donor less loaded
+  // than the subject.
   if (config.mechanism_enabled(Mechanism::kStealRemoteSecondary) &&
       !subject.full()) {
-    Best best;
-    for (const auto& c : candidates) {
-      if (!c.full()) continue;
-      if (c.secondary->capacity <= cap_primary) continue;
-      if (c.workload_index >= subject_index) continue;
-      best.offer(c.region, c.workload_index);
-    }
-    if (best.region.valid()) {
-      return make_plan(Mechanism::kStealRemoteSecondary, subject.region,
-                       best.region);
-    }
+    const double subject_index =
+        net::load_index(subject.load, subject.primary.capacity);
+    const Plan plan = best_plan(
+        Mechanism::kStealRemoteSecondary, subject, candidates,
+        [subject_index](const net::RegionSnapshot& s,
+                        const net::RegionSnapshot& c) -> Key {
+          if (c.workload_index >= subject_index) return std::nullopt;
+          return steal_secondary_key(s, c);
+        });
+    if (plan.valid) return plan;
   }
 
-  // (g) Switch Primary with Remote Secondary.
+  // (g) Switch Primary with Remote Secondary -- (e)'s rule.
   if (config.mechanism_enabled(Mechanism::kSwitchWithRemoteSecondary) &&
       subject.full()) {
-    Best best;
-    for (const auto& c : candidates) {
-      if (!c.full()) continue;
-      const double cap_secondary = c.secondary->capacity;
-      if (cap_secondary <= cap_primary) continue;
-      best.offer(c.region, subject_load / cap_secondary);
-    }
-    if (best.region.valid()) {
-      return make_plan(Mechanism::kSwitchWithRemoteSecondary, subject.region,
-                       best.region);
-    }
+    const Plan plan = best_plan(Mechanism::kSwitchWithRemoteSecondary, subject,
+                                candidates, switch_with_secondary_key);
+    if (plan.valid) return plan;
   }
 
-  // (h) Switch Primary with Remote Primary.
+  // (h) Switch Primary with Remote Primary -- (b)'s rule, for a full
+  // subject.
   if (config.mechanism_enabled(Mechanism::kSwitchWithRemotePrimary) &&
       subject.full()) {
-    Best best;
-    for (const auto& c : candidates) {
-      const double cap_other = c.primary.capacity;
-      if (cap_other <= cap_primary) continue;
-      const double old_max = std::max(subject_index, c.workload_index);
-      const double new_max =
-          swapped_max_index(subject_load, c.load, cap_primary, cap_other);
-      if (new_max < old_max - 1e-12) best.offer(c.region, new_max);
-    }
-    if (best.region.valid()) {
-      return make_plan(Mechanism::kSwitchWithRemotePrimary, subject.region,
-                       best.region);
-    }
+    return best_plan(Mechanism::kSwitchWithRemotePrimary, subject, candidates,
+                     switch_primary_key);
   }
 
   return Plan{};

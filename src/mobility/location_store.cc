@@ -144,12 +144,6 @@ std::optional<LocationRecord> LocationStore::locate(UserId user) const {
   return record_at(*slot);
 }
 
-std::optional<std::uint64_t> LocationStore::seq_of(UserId user) const {
-  const auto* slot = index_.find(user);
-  if (slot == nullptr) return std::nullopt;
-  return seqs_[*slot];
-}
-
 void LocationStore::remove_slot(std::uint32_t slot) {
   cell_remove(cell_keys_[slot], slot);
   index_.erase(users_[slot]);

@@ -148,10 +148,6 @@ class LocationStore {
   /// Point lookup: the stored record for `user`, if present.
   std::optional<LocationRecord> locate(UserId user) const;
 
-  /// The stored sequence number for `user`, if present (cheaper than
-  /// locate when only the seq guard matters).
-  std::optional<std::uint64_t> seq_of(UserId user) const;
-
   /// Removes `user` outright.  Returns true when a record was removed.
   bool erase(UserId user);
 

@@ -84,27 +84,10 @@ QueryEngine::QueryEngine(ShardedDirectory& directory, Options options)
     : directory_(directory),
       resolver_(directory.resolver()),
       pool_(options.threads),
-      task_states_(pool_.task_count()),
-      reader_(directory.register_reader()) {}
+      task_states_(pool_.task_count()) {}
 
 std::vector<QueryResult> QueryEngine::run(std::span<const Query> batch) {
   const auto snapshot = directory_.publish_snapshot();
-  return run_on(*snapshot, batch);
-}
-
-std::vector<QueryResult> QueryEngine::run_pinned(std::span<const Query> batch) {
-  common::EpochDomain::Guard pin(reader_);
-  const DirectorySnapshot* snapshot = directory_.pinned_snapshot();
-  if (snapshot == nullptr) {
-    // Nothing published yet: every locate misses, every scan is empty.
-    // One empty slice keeps store()'s shard modulus well-defined.
-    static const DirectorySnapshot kEmpty(
-        0,
-        DirectoryState{std::make_shared<const UserMap>(),
-                       {std::make_shared<const StoreMap>()}},
-        0, std::nullopt);
-    return run_on(kEmpty, batch);
-  }
   return run_on(*snapshot, batch);
 }
 

@@ -53,7 +53,6 @@
 #include <span>
 #include <vector>
 
-#include "common/epoch_reclaim.h"
 #include "common/geometry.h"
 #include "common/ids.h"
 #include "common/worker_pool.h"
@@ -151,7 +150,10 @@ class QueryEngine {
   /// The engine reads the directory's shared RegionResolver and publishes
   /// snapshots through it.  One engine instance serves one querying thread
   /// at a time (run is not re-entrant); any number of engines may share a
-  /// directory's snapshots.
+  /// directory's snapshots.  An engine holds no reclamation-domain slot: a
+  /// thread other than the writer registers its own reader once
+  /// (ShardedDirectory::register_reader) and, under an EpochDomain::Guard
+  /// on it, passes pinned_snapshot() to run_on.
   explicit QueryEngine(ShardedDirectory& directory);
   QueryEngine(ShardedDirectory& directory, Options options);
 
@@ -165,14 +167,6 @@ class QueryEngine {
   /// is exactly the concurrent-reader deployment.
   std::vector<QueryResult> run_on(const DirectorySnapshot& snapshot,
                                   std::span<const Query> batch);
-
-  /// Concurrent-reader hot path: pins this engine's reclamation-domain
-  /// reader, executes the batch against the latest published snapshot, and
-  /// unpins.  No mutex, no shared_ptr refcount — snapshot lifetime is
-  /// guaranteed by epoch-based reclamation, so any number of engines on
-  /// separate threads acquire snapshots without writing one shared byte.
-  /// Before the first publish the batch answers as an empty directory.
-  std::vector<QueryResult> run_pinned(std::span<const Query> batch);
 
   std::size_t thread_count() const noexcept { return pool_.task_count(); }
   const Counters& counters() const noexcept { return counters_; }
@@ -212,7 +206,6 @@ class QueryEngine {
   Counters counters_;
   common::WorkerPool pool_;
   std::vector<TaskState> task_states_;
-  common::EpochDomain::Reader reader_;  ///< run_pinned's domain slot
 };
 
 }  // namespace geogrid::mobility

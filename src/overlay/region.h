@@ -24,10 +24,6 @@ struct Region {
 
   /// A region is "full" when it has a dual peer (both owner seats taken).
   bool full() const noexcept { return secondary.has_value(); }
-
-  bool owned_by(NodeId n) const noexcept {
-    return primary == n || (secondary && *secondary == n);
-  }
 };
 
 /// Minimum side length (miles) below which a region is never split again.

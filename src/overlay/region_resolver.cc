@@ -27,16 +27,8 @@ void RegionResolver::rebuild() {
 
   for (const auto& [id, region] : partition_.regions()) {
     rects_[id] = region.rect;
-    const Rect& r = region.rect;
-    const std::size_t x0 = spec_.cell_x(r.x);
-    const std::size_t x1 = spec_.cell_x(r.right());
-    const std::size_t y0 = spec_.cell_y(r.y);
-    const std::size_t y1 = spec_.cell_y(r.top());
-    for (std::size_t cx = x0; cx <= x1; ++cx) {
-      for (std::size_t cy = y0; cy <= y1; ++cy) {
-        grid_[spec_.index(cx, cy)].push_back(id);
-      }
-    }
+    spec_.each_cell(region.rect,
+                    [&](std::size_t cell) { grid_[cell].push_back(id); });
   }
   // Canonical bucket order: cell membership above followed the partition's
   // unordered region iteration, which is not part of any contract.
@@ -68,18 +60,13 @@ void RegionResolver::intersecting(const Rect& rect,
   out.clear();
   if (rects_.empty()) return;
   // A region meeting `rect` shares a point with it, whose cell lies in both
-  // the region's bucketed cell range and the range below: one monotone
-  // mapping gives both.
-  const std::size_t x1 = spec_.cell_x(rect.right());
-  const std::size_t y0 = spec_.cell_y(rect.y);
-  const std::size_t y1 = spec_.cell_y(rect.top());
-  for (std::size_t cx = spec_.cell_x(rect.x); cx <= x1; ++cx) {
-    for (std::size_t cy = y0; cy <= y1; ++cy) {
-      for (const RegionId id : grid_[spec_.index(cx, cy)]) {
-        if (rects_.find(id)->meets(rect)) out.push_back(id);
-      }
+  // the region's bucketed cell span and the rect's: one monotone mapping
+  // gives both.
+  spec_.each_cell(rect, [&](std::size_t cell) {
+    for (const RegionId id : grid_[cell]) {
+      if (rects_.find(id)->meets(rect)) out.push_back(id);
     }
-  }
+  });
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }

@@ -93,6 +93,19 @@ struct UniformGridSpec {
     return cy * dim + cx;
   }
   std::size_t cell_count() const noexcept { return dim * dim; }
+
+  /// Calls fn(cell index) for every cell of [cell_x(r.x), cell_x(r.right())]
+  /// x [cell_y(r.y), cell_y(r.top())], row by row: the cells a rect is
+  /// bucketed into, and the cells a probe of the rect must visit.
+  template <typename Fn>
+  void each_cell(const Rect& r, Fn&& fn) const {
+    const std::size_t x0 = cell_x(r.x);
+    const std::size_t x1 = cell_x(r.right());
+    const std::size_t y1 = cell_y(r.top());
+    for (std::size_t cy = cell_y(r.y); cy <= y1; ++cy) {
+      for (std::size_t cx = x0; cx <= x1; ++cx) fn(index(cx, cy));
+    }
+  }
 };
 
 class RegionResolver {
@@ -154,7 +167,6 @@ class RegionResolver {
                         Proceed&& proceed, Visitor&& visit) const;
 
   std::size_t region_count() const noexcept { return rects_.size(); }
-  std::uint64_t cached_geometry_version() const noexcept { return version_; }
 
  private:
   void rebuild();

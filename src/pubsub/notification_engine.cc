@@ -166,7 +166,7 @@ void NotificationEngine::match_user(UserId user,
 
   // Merge the two ascending-id CoverMatch lists: prev-only = leave,
   // cur-only = enter, both = move (range subscriptions only).  The
-  // triples carry id and kind, so no per-notification slot deref.
+  // matches carry id and kind, so no record is read per notification.
   const std::vector<CoverMatch>& prev_m = state.prev_matches;
   const std::vector<CoverMatch>& cur_m = state.cur_matches;
   std::size_t i = 0;
@@ -202,7 +202,7 @@ void NotificationEngine::match_user(UserId user,
   if (const auto* friends = subs_.friends_of(user)) {
     const NotifyEvent event =
         has_prev ? NotifyEvent::kMove : NotifyEvent::kEnter;
-    for (const auto& [id, slot] : *friends) {
+    for (const std::uint64_t id : *friends) {
       out.push_back(Notification{id, user, event, cur_pos});
       ++c.friend_events;
       ++c.notifications;
@@ -218,8 +218,8 @@ void NotificationEngine::match_user(UserId user,
 void NotificationEngine::to_notify(const Notification& n,
                                    net::Notify& out) const {
   out.sub_id = n.sub_id;
-  if (const std::string* filter = subs_.filter_of(n.sub_id)) {
-    out.topic.assign(*filter);
+  if (const SubRecord* sub = subs_.find(n.sub_id)) {
+    out.topic.assign(sub->filter);
   } else {
     out.topic.clear();
   }

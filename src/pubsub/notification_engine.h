@@ -33,9 +33,9 @@
 // chunk's current and previous records through
 // DirectorySnapshot::locate_many (store probes grouped by shard/region
 // instead of ping-ponging per user), the covering probes are SIMD scans
-// over the index's SoA cell columns, and the probe's (id, slot, kind)
-// CoverMatch triples feed the enter/leave/move merge directly — the loop
-// never dereferences the subscription slot array per notification.
+// over the index's SoA cell columns, and the probe's (id, kind)
+// CoverMatch pairs feed the enter/leave/move merge directly — the loop
+// never reads a subscription record per notification.
 // Per-user match timing is sampled (every Nth candidate,
 // kTimingSampleEvery) so the steady_clock reads that feed
 // match_latency() cost the workload a bounded fraction instead of two

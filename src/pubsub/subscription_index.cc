@@ -1,6 +1,7 @@
 #include "pubsub/subscription_index.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "common/simd.h"
@@ -15,28 +16,20 @@ void CellSoA::reserve(std::uint32_t cap) {
 void CellSoA::grow(std::uint32_t min_cap, std::uint32_t gap_pos) {
   std::uint32_t new_cap = cap_ == 0 ? 2 : cap_ * 2;
   if (new_cap < min_cap) new_cap = min_cap;
-  // 4 double columns + 1 u64 column (same stride) + 1 u32 column.
   const std::size_t col = static_cast<std::size_t>(new_cap) * sizeof(double);
-  std::byte* fresh = new std::byte[5 * col + new_cap * sizeof(std::uint32_t)];
+  std::byte* fresh =
+      new std::byte[(kColumns - 1) * col + new_cap * sizeof(SubKind)];
   if (data_ != nullptr) {
     // Copy each column, leaving a one-entry hole at gap_pos (== size_ when
     // reserving: the hole degenerates to nothing).
     const std::size_t old_col = bytes_per_col();
-    const auto copy_col = [&](std::size_t c, std::size_t elem) {
+    for (std::size_t c = 0; c < kColumns; ++c) {
+      const std::size_t elem = elem_size(c);
       const std::byte* src = data_ + c * old_col;
       std::byte* dst = fresh + c * col;
       std::memcpy(dst, src, gap_pos * elem);
       std::memcpy(dst + (gap_pos + 1) * elem, src + gap_pos * elem,
                   (size_ - gap_pos) * elem);
-    };
-    for (std::size_t c = 0; c < 5; ++c) copy_col(c, sizeof(double));
-    {
-      const std::byte* src = data_ + 5 * old_col;
-      std::byte* dst = fresh + 5 * col;
-      std::memcpy(dst, src, gap_pos * sizeof(std::uint32_t));
-      std::memcpy(dst + (gap_pos + 1) * sizeof(std::uint32_t),
-                  src + gap_pos * sizeof(std::uint32_t),
-                  (size_ - gap_pos) * sizeof(std::uint32_t));
     }
     delete[] data_;
   }
@@ -45,131 +38,97 @@ void CellSoA::grow(std::uint32_t min_cap, std::uint32_t gap_pos) {
 }
 
 void CellSoA::insert(std::uint32_t pos, const Rect& area, std::uint64_t id,
-                     std::uint32_t slot_kind) {
+                     SubKind kind) {
   if (size_ == cap_) {
     grow(size_ + 1, pos);
   } else if (pos < size_) {
-    const auto shift = [&](std::byte* base, std::size_t elem) {
+    for (std::size_t c = 0; c < kColumns; ++c) {
+      const std::size_t elem = elem_size(c);
+      std::byte* base = data_ + c * bytes_per_col();
       std::memmove(base + (pos + 1) * elem, base + pos * elem,
                    (size_ - pos) * elem);
-    };
-    for (std::size_t c = 0; c < 5; ++c) {
-      shift(data_ + c * bytes_per_col(), sizeof(double));
     }
-    shift(data_ + 5 * bytes_per_col(), sizeof(std::uint32_t));
   }
   col_d_mut(0)[pos] = area.x;
   col_d_mut(1)[pos] = area.y;
   col_d_mut(2)[pos] = area.right();
   col_d_mut(3)[pos] = area.top();
   reinterpret_cast<std::uint64_t*>(data_ + 4 * bytes_per_col())[pos] = id;
-  reinterpret_cast<std::uint32_t*>(data_ + 5 * bytes_per_col())[pos] =
-      slot_kind;
+  reinterpret_cast<SubKind*>(data_ + 5 * bytes_per_col())[pos] = kind;
   ++size_;
 }
 
 void CellSoA::erase(std::uint32_t pos) {
   const std::uint32_t tail = size_ - pos - 1;
-  const auto shift = [&](std::byte* base, std::size_t elem) {
+  for (std::size_t c = 0; c < kColumns; ++c) {
+    const std::size_t elem = elem_size(c);
+    std::byte* base = data_ + c * bytes_per_col();
     std::memmove(base + pos * elem, base + (pos + 1) * elem, tail * elem);
-  };
-  for (std::size_t c = 0; c < 5; ++c) {
-    shift(data_ + c * bytes_per_col(), sizeof(double));
   }
-  shift(data_ + 5 * bytes_per_col(), sizeof(std::uint32_t));
   --size_;
 }
 
 }  // namespace detail
 
-namespace {
-
-using Entry = std::pair<std::uint64_t, std::uint32_t>;
-
-std::vector<Entry>::iterator lower_bound_id(std::vector<Entry>& v,
-                                            std::uint64_t id) {
-  return std::lower_bound(
-      v.begin(), v.end(), id,
-      [](const Entry& e, std::uint64_t key) { return e.first < key; });
-}
-
-}  // namespace
-
 void SubscriptionIndex::subscribe(const net::Subscribe& msg, SubKind kind) {
-  SubRecord rec;
-  rec.id = msg.sub_id;
-  rec.kind = kind == SubKind::kFriend ? SubKind::kGeofence : kind;
-  rec.area = msg.area;
-  insert(rec, SubCold{msg.subscriber.id, msg.filter});
+  insert(SubRecord{msg.sub_id,
+                   kind == SubKind::kFriend ? SubKind::kGeofence : kind,
+                   msg.area, UserId{}, msg.filter});
 }
 
 void SubscriptionIndex::subscribe_friend(const net::Subscribe& msg,
                                          UserId friend_user) {
-  SubRecord rec;
-  rec.id = msg.sub_id;
-  rec.kind = SubKind::kFriend;
-  rec.friend_user = friend_user;
-  insert(rec, SubCold{msg.subscriber.id, msg.filter});
+  insert(SubRecord{msg.sub_id, SubKind::kFriend, Rect{}, friend_user,
+                   msg.filter});
 }
 
-void SubscriptionIndex::insert(SubRecord rec, SubCold cold) {
-  if (index_.find(rec.id) != nullptr) unsubscribe(rec.id);
-  const auto slot = static_cast<std::uint32_t>(hot_.size());
-  *index_.try_emplace(rec.id).first = slot;
-  hot_.push_back(rec);
-  cold_.push_back(std::move(cold));
+void SubscriptionIndex::insert(SubRecord rec) {
+  unsubscribe(rec.id);  // a resubscribe replaces the resident record
+  *position_.try_emplace(rec.id).first =
+      static_cast<std::uint32_t>(records_.size());
   if (rec.kind == SubKind::kFriend) {
-    friends_insert(rec, slot);
+    std::vector<std::uint64_t>& ids =
+        *friends_.try_emplace(rec.friend_user).first;
+    ids.insert(std::lower_bound(ids.begin(), ids.end(), rec.id), rec.id);
   } else {
     ++rect_count_;
-    grid_insert(rec, slot);
+    spec_.each_cell(rec.area, [&](std::size_t c) {
+      detail::CellSoA& cell = grid_[c];
+      cell.insert(cell.lower_bound(rec.id), rec.area, rec.id, rec.kind);
+    });
   }
+  records_.push_back(std::move(rec));
 }
 
 bool SubscriptionIndex::unsubscribe(std::uint64_t sub_id) {
-  const std::uint32_t* found = index_.find(sub_id);
+  const std::uint32_t* found = position_.find(sub_id);
   if (found == nullptr) return false;
-  const std::uint32_t slot = *found;
-  {
-    const SubRecord& s = hot_[slot];
-    if (s.kind == SubKind::kFriend) {
-      friends_remove(s);
-    } else {
-      grid_remove(s);
-      --rect_count_;
-    }
+  const std::uint32_t pos = *found;
+  const SubRecord& s = records_[pos];
+  if (s.kind == SubKind::kFriend) {
+    std::vector<std::uint64_t>& ids = *friends_.find(s.friend_user);
+    ids.erase(std::lower_bound(ids.begin(), ids.end(), sub_id));
+    if (ids.empty()) friends_.erase(s.friend_user);
+  } else {
+    spec_.each_cell(s.area, [&](std::size_t c) {
+      detail::CellSoA& cell = grid_[c];
+      cell.erase(cell.lower_bound(sub_id));
+    });
+    --rect_count_;
   }
-  index_.erase(sub_id);
-  const auto last = static_cast<std::uint32_t>(hot_.size() - 1);
-  if (slot != last) {
-    // Swap-remove: the tail subscription moves into the freed slot (hot
-    // and cold rows together), so every structure that names the tail
-    // slot must be repointed.
-    hot_[slot] = hot_[last];
-    cold_[slot] = std::move(cold_[last]);
-    const SubRecord& moved = hot_[slot];
-    *index_.find(moved.id) = slot;
-    if (moved.kind == SubKind::kFriend) {
-      friends_replace_slot(moved, slot);
-    } else {
-      grid_replace_slot(moved, slot);
-    }
+  position_.erase(sub_id);
+  // Swap-remove: the last record moves into the hole.  The grid and the
+  // friend lists name it by id, so only the id map is repointed.
+  if (pos + 1 != records_.size()) {
+    records_[pos] = std::move(records_.back());
+    *position_.find(records_[pos].id) = pos;
   }
-  hot_.pop_back();
-  cold_.pop_back();
+  records_.pop_back();
   return true;
 }
 
-const SubRecord* SubscriptionIndex::find(std::uint64_t sub_id) const {
-  const std::uint32_t* slot = index_.find(sub_id);
-  return slot == nullptr ? nullptr : &hot_[*slot];
-}
-
 void SubscriptionIndex::refresh() {
-  if (grid_valid_ && rect_count_ <= built_for_ * 2 &&
-      rect_count_ >= built_for_ / 2) {
-    return;
-  }
+  if (rect_count_ <= built_for_ * 2 && rect_count_ >= built_for_ / 2) return;
   rebuild_grid();
 }
 
@@ -178,16 +137,17 @@ void SubscriptionIndex::rebuild_grid() {
   // O(1) cells and a point probe's candidate list stays proportional to
   // the local subscription density.  Capped by ~2*sqrt(N) cells per axis
   // (grid memory stays linear in the population) and an absolute bound.
+  const Rect plane = spec_.plane;
   double side_sum = 0.0;
-  for (const SubRecord& s : hot_) {
+  for (const SubRecord& s : records_) {
     if (s.kind == SubKind::kFriend) continue;
     side_sum += 0.5 * (s.area.width + s.area.height);
   }
   std::size_t dim = 1;
   if (rect_count_ > 0 && side_sum > 0.0) {
     const double mean_side = side_sum / static_cast<double>(rect_count_);
-    const double plane_side = plane_.width < plane_.height ? plane_.width
-                                                           : plane_.height;
+    const double plane_side = plane.width < plane.height ? plane.width
+                                                         : plane.height;
     std::size_t sqrt_dim = 1;
     while (sqrt_dim * sqrt_dim < rect_count_) ++sqrt_dim;
     std::size_t cap = 2 * sqrt_dim;
@@ -196,47 +156,32 @@ void SubscriptionIndex::rebuild_grid() {
     if (dim < 1) dim = 1;
     if (dim > cap) dim = cap;
   }
-  spec_ = overlay::UniformGridSpec::over(plane_, dim);
+  spec_ = overlay::UniformGridSpec::over(plane, dim);
 
   // Three passes keep the rebuild shift-free and allocation-exact: count
   // entries per cell, reserve each cell once, then append in ascending
   // sub-id order — the columns come out sorted without ever sorting.
-  std::vector<Entry> by_id;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> by_id;  // (id, pos)
   by_id.reserve(rect_count_);
-  for (std::uint32_t slot = 0; slot < hot_.size(); ++slot) {
-    if (hot_[slot].kind == SubKind::kFriend) continue;
-    by_id.emplace_back(hot_[slot].id, slot);
+  for (std::uint32_t pos = 0; pos < records_.size(); ++pos) {
+    if (records_[pos].kind == SubKind::kFriend) continue;
+    by_id.emplace_back(records_[pos].id, pos);
   }
   std::sort(by_id.begin(), by_id.end());
 
   std::vector<std::uint32_t> counts(spec_.cell_count(), 0);
-  const auto each_cell = [&](const Rect& r, auto&& fn) {
-    const std::size_t x0 = spec_.cell_x(r.x);
-    const std::size_t x1 = spec_.cell_x(r.right());
-    const std::size_t y0 = spec_.cell_y(r.y);
-    const std::size_t y1 = spec_.cell_y(r.top());
-    for (std::size_t cx = x0; cx <= x1; ++cx) {
-      for (std::size_t cy = y0; cy <= y1; ++cy) {
-        fn(spec_.index(cx, cy));
-      }
-    }
-  };
-  for (const auto& [id, slot] : by_id) {
-    each_cell(hot_[slot].area, [&](std::size_t cell) { ++counts[cell]; });
+  for (const auto& [id, pos] : by_id) {
+    spec_.each_cell(records_[pos].area, [&](std::size_t c) { ++counts[c]; });
   }
   grid_.clear();
   grid_.resize(spec_.cell_count());
-  for (std::size_t cell = 0; cell < grid_.size(); ++cell) {
-    grid_[cell].reserve(counts[cell]);
-  }
-  for (const auto& [id, slot] : by_id) {
-    const SubRecord& s = hot_[slot];
-    const std::uint32_t sk = pack_slot_kind(slot, s.kind);
-    each_cell(s.area,
-              [&](std::size_t cell) { grid_[cell].append(s.area, id, sk); });
+  for (std::size_t c = 0; c < grid_.size(); ++c) grid_[c].reserve(counts[c]);
+  for (const auto& [id, pos] : by_id) {
+    const SubRecord& s = records_[pos];
+    spec_.each_cell(s.area,
+                    [&](std::size_t c) { grid_[c].append(s.area, id, s.kind); });
   }
   built_for_ = rect_count_;
-  grid_valid_ = true;
 }
 
 void SubscriptionIndex::covering(const Point& p,
@@ -260,130 +205,45 @@ void SubscriptionIndex::covering(const Point& p,
         cell.hi_y() + base, len, p.x, p.y, lanes);
     for (std::size_t k = 0; k < hits; ++k) {
       const std::uint32_t idx = base + lanes[k];
-      const std::uint32_t sk = cell.slot_kinds()[idx];
-      out.push_back(CoverMatch{cell.ids()[idx], slot_of(sk), kind_of(sk)});
+      out.push_back(CoverMatch{cell.ids()[idx], cell.kinds()[idx]});
     }
   }
-}
-
-void SubscriptionIndex::grid_insert(const SubRecord& sub, std::uint32_t slot) {
-  const Rect& r = sub.area;
-  const std::uint32_t sk = pack_slot_kind(slot, sub.kind);
-  const std::size_t x0 = spec_.cell_x(r.x);
-  const std::size_t x1 = spec_.cell_x(r.right());
-  const std::size_t y0 = spec_.cell_y(r.y);
-  const std::size_t y1 = spec_.cell_y(r.top());
-  for (std::size_t cx = x0; cx <= x1; ++cx) {
-    for (std::size_t cy = y0; cy <= y1; ++cy) {
-      detail::CellSoA& cell = grid_[spec_.index(cx, cy)];
-      cell.insert(cell.lower_bound(sub.id), r, sub.id, sk);
-    }
-  }
-}
-
-void SubscriptionIndex::grid_remove(const SubRecord& sub) {
-  const Rect& r = sub.area;
-  const std::size_t x0 = spec_.cell_x(r.x);
-  const std::size_t x1 = spec_.cell_x(r.right());
-  const std::size_t y0 = spec_.cell_y(r.y);
-  const std::size_t y1 = spec_.cell_y(r.top());
-  for (std::size_t cx = x0; cx <= x1; ++cx) {
-    for (std::size_t cy = y0; cy <= y1; ++cy) {
-      detail::CellSoA& cell = grid_[spec_.index(cx, cy)];
-      const std::uint32_t pos = cell.lower_bound(sub.id);
-      if (pos < cell.size() && cell.ids()[pos] == sub.id) cell.erase(pos);
-    }
-  }
-}
-
-void SubscriptionIndex::grid_replace_slot(const SubRecord& sub,
-                                          std::uint32_t new_slot) {
-  const Rect& r = sub.area;
-  const std::uint32_t sk = pack_slot_kind(new_slot, sub.kind);
-  const std::size_t x0 = spec_.cell_x(r.x);
-  const std::size_t x1 = spec_.cell_x(r.right());
-  const std::size_t y0 = spec_.cell_y(r.y);
-  const std::size_t y1 = spec_.cell_y(r.top());
-  for (std::size_t cx = x0; cx <= x1; ++cx) {
-    for (std::size_t cy = y0; cy <= y1; ++cy) {
-      detail::CellSoA& cell = grid_[spec_.index(cx, cy)];
-      const std::uint32_t pos = cell.lower_bound(sub.id);
-      if (pos < cell.size() && cell.ids()[pos] == sub.id) {
-        cell.set_slot_kind(pos, sk);
-      }
-    }
-  }
-}
-
-void SubscriptionIndex::friends_insert(const SubRecord& sub,
-                                       std::uint32_t slot) {
-  auto& list = *friends_.try_emplace(sub.friend_user).first;
-  list.insert(lower_bound_id(list, sub.id), Entry{sub.id, slot});
-}
-
-void SubscriptionIndex::friends_remove(const SubRecord& sub) {
-  std::vector<Entry>* list = friends_.find(sub.friend_user);
-  if (list == nullptr) return;
-  const auto it = lower_bound_id(*list, sub.id);
-  if (it != list->end() && it->first == sub.id) list->erase(it);
-  if (list->empty()) friends_.erase(sub.friend_user);
-}
-
-void SubscriptionIndex::friends_replace_slot(const SubRecord& sub,
-                                             std::uint32_t new_slot) {
-  std::vector<Entry>* list = friends_.find(sub.friend_user);
-  if (list == nullptr) return;
-  const auto it = lower_bound_id(*list, sub.id);
-  if (it != list->end() && it->first == sub.id) it->second = new_slot;
 }
 
 bool SubscriptionIndex::validate() const {
-  if (hot_.size() != cold_.size()) return false;
-  if (index_.size() != hot_.size()) return false;
+  if (position_.size() != records_.size()) return false;
 
   std::size_t rects = 0;
   std::size_t friend_subs = 0;
   std::size_t expected_grid_entries = 0;
-  for (std::uint32_t slot = 0; slot < hot_.size(); ++slot) {
-    const SubRecord& s = hot_[slot];
-    const std::uint32_t* mapped = index_.find(s.id);
-    if (mapped == nullptr || *mapped != slot) return false;
+  for (std::uint32_t pos = 0; pos < records_.size(); ++pos) {
+    const SubRecord& s = records_[pos];
+    const std::uint32_t* mapped = position_.find(s.id);
+    if (mapped == nullptr || *mapped != pos) return false;
     if (s.kind == SubKind::kFriend) {
       ++friend_subs;
-      const auto* list = friends_.find(s.friend_user);
-      if (list == nullptr) return false;
-      const auto it = std::lower_bound(
-          list->begin(), list->end(), s.id,
-          [](const Entry& e, std::uint64_t key) { return e.first < key; });
-      if (it == list->end() || it->first != s.id || it->second != slot) {
+      const std::vector<std::uint64_t>* ids = friends_.find(s.friend_user);
+      if (ids == nullptr ||
+          !std::binary_search(ids->begin(), ids->end(), s.id)) {
         return false;
       }
       continue;
     }
     ++rects;
     // Every covered cell must hold exactly this sub's columns at the id's
-    // sorted position: edges as stored half-open bounds, packed slot+kind
-    // repointed to the current slot.
+    // sorted position: edges as stored half-open bounds, and its kind.
     const Rect& r = s.area;
-    const std::size_t x0 = spec_.cell_x(r.x);
-    const std::size_t x1 = spec_.cell_x(r.right());
-    const std::size_t y0 = spec_.cell_y(r.y);
-    const std::size_t y1 = spec_.cell_y(r.top());
-    for (std::size_t cx = x0; cx <= x1; ++cx) {
-      for (std::size_t cy = y0; cy <= y1; ++cy) {
-        ++expected_grid_entries;
-        const detail::CellSoA& cell = grid_[spec_.index(cx, cy)];
-        const std::uint32_t pos = cell.lower_bound(s.id);
-        if (pos >= cell.size() || cell.ids()[pos] != s.id) return false;
-        if (cell.lo_x()[pos] != r.x || cell.lo_y()[pos] != r.y ||
-            cell.hi_x()[pos] != r.right() || cell.hi_y()[pos] != r.top()) {
-          return false;
-        }
-        if (cell.slot_kinds()[pos] != pack_slot_kind(slot, s.kind)) {
-          return false;
-        }
-      }
-    }
+    bool cells_hold_it = true;
+    spec_.each_cell(r, [&](std::size_t c) {
+      ++expected_grid_entries;
+      const detail::CellSoA& cell = grid_[c];
+      const std::uint32_t i = cell.lower_bound(s.id);
+      cells_hold_it = cells_hold_it && i < cell.size() &&
+                      cell.ids()[i] == s.id && cell.kinds()[i] == s.kind &&
+                      cell.lo_x()[i] == r.x && cell.lo_y()[i] == r.y &&
+                      cell.hi_x()[i] == r.right() && cell.hi_y()[i] == r.top();
+    });
+    if (!cells_hold_it) return false;
   }
   if (rects != rect_count_) return false;
 
@@ -396,11 +256,16 @@ bool SubscriptionIndex::validate() const {
   }
   if (grid_entries != expected_grid_entries) return false;
 
+  // Each friend list ascending and unique, and no id beyond the records'.
   std::size_t friend_entries = 0;
-  friends_.for_each([&](const UserId&, const std::vector<Entry>& list) {
-    friend_entries += list.size();
+  bool lists_sorted = true;
+  friends_.for_each([&](const UserId&, const std::vector<std::uint64_t>& ids) {
+    friend_entries += ids.size();
+    lists_sorted = lists_sorted &&
+                   std::adjacent_find(ids.begin(), ids.end(),
+                                      std::greater_equal<>()) == ids.end();
   });
-  return friend_entries == friend_subs;
+  return lists_sorted && friend_entries == friend_subs;
 }
 
 }  // namespace geogrid::pubsub

@@ -1,6 +1,6 @@
 #include "services/bootstrap.h"
 
-#include <algorithm>
+#include <iterator>
 
 #include "common/logging.h"
 
@@ -40,26 +40,6 @@ std::optional<net::NodeInfo> BootstrapServer::pick_entry(NodeId excluding) {
     std::advance(it, static_cast<std::ptrdiff_t>(rng_.uniform_index(nodes_.size())));
     if (it->first != excluding) return it->second;
   }
-}
-
-void HostCache::remember(const net::NodeInfo& node) {
-  auto it = std::find_if(entries_.begin(), entries_.end(),
-                         [&](const net::NodeInfo& e) { return e.id == node.id; });
-  if (it != entries_.end()) {
-    *it = node;
-    return;
-  }
-  if (entries_.size() == max_entries_) entries_.erase(entries_.begin());
-  entries_.push_back(node);
-}
-
-void HostCache::forget(NodeId id) {
-  std::erase_if(entries_, [&](const net::NodeInfo& e) { return e.id == id; });
-}
-
-std::optional<net::NodeInfo> HostCache::pick(Rng& rng) const {
-  if (entries_.empty()) return std::nullopt;
-  return entries_[rng.uniform_index(entries_.size())];
 }
 
 }  // namespace geogrid::services

@@ -4,12 +4,12 @@
 // GeoGrid from a bootstrapping server or a local host cache carried from its
 // last session of activity", then "initiates a joining request by contacting
 // an entry node selected randomly from this list".  BootstrapServer is that
-// server as a simulated process; HostCache is the client-side cache.
+// server as a simulated process.  There is no host cache: a departed node
+// never rejoins, so no node has an earlier session to carry one from.
 #pragma once
 
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "common/rng.h"
 #include "net/messages.h"
@@ -39,25 +39,6 @@ class BootstrapServer : public sim::Process {
   NodeId address_;
   Rng rng_;
   std::unordered_map<NodeId, net::NodeInfo> nodes_;
-};
-
-/// Client-side host cache: remembers nodes seen in earlier sessions so a
-/// rejoining node can skip the server.
-class HostCache {
- public:
-  explicit HostCache(std::size_t max_entries = 32) : max_entries_(max_entries) {}
-
-  void remember(const net::NodeInfo& node);
-  void forget(NodeId id);
-  bool empty() const noexcept { return entries_.empty(); }
-  std::size_t size() const noexcept { return entries_.size(); }
-
-  /// Random cached entry, if any.
-  std::optional<net::NodeInfo> pick(Rng& rng) const;
-
- private:
-  std::size_t max_entries_;
-  std::vector<net::NodeInfo> entries_;
 };
 
 }  // namespace geogrid::services

@@ -177,9 +177,6 @@ class AdaptationHarness {
   Report run();
 
   const Options& options() const noexcept { return options_; }
-  const FaultInjector::Counters& fault_counters() const noexcept {
-    return injector_.counters();
-  }
 
  private:
   Phase phase_of(std::size_t tick) const noexcept;

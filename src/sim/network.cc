@@ -20,11 +20,6 @@ void Network::set_up(NodeId id, bool up) {
   }
 }
 
-bool Network::is_up(NodeId id) const {
-  auto it = endpoints_.find(id);
-  return it != endpoints_.end() && it->second.up;
-}
-
 bool Network::is_attached(NodeId id) const {
   return endpoints_.contains(id);
 }

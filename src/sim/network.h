@@ -84,7 +84,6 @@ class Network {
   /// Failure injection: a down node silently loses all inbound and outbound
   /// traffic until brought back up.
   void set_up(NodeId id, bool up);
-  bool is_up(NodeId id) const;
   bool is_attached(NodeId id) const;
 
   /// Sends `msg` from `from` to `to` with simulated latency.  The receiver
@@ -99,7 +98,6 @@ class Network {
       on_send;
 
   const NetworkStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = NetworkStats{}; }
 
   EventLoop& loop() noexcept { return loop_; }
 

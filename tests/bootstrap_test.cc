@@ -92,40 +92,5 @@ TEST_F(BootstrapTest, UnregisterRemovesNode) {
   }
 }
 
-TEST(HostCache, RemembersAndEvictsFifo) {
-  HostCache cache(2);
-  cache.remember(make_node(1));
-  cache.remember(make_node(2));
-  cache.remember(make_node(3));  // evicts node 1
-  EXPECT_EQ(cache.size(), 2u);
-  Rng rng(1);
-  for (int i = 0; i < 20; ++i) {
-    const auto pick = cache.pick(rng);
-    ASSERT_TRUE(pick.has_value());
-    EXPECT_NE(pick->id, (NodeId{1}));
-  }
-}
-
-TEST(HostCache, RememberUpdatesInPlace) {
-  HostCache cache(4);
-  cache.remember(make_node(1));
-  auto updated = make_node(1);
-  updated.capacity = 99.0;
-  cache.remember(updated);
-  EXPECT_EQ(cache.size(), 1u);
-  Rng rng(1);
-  EXPECT_DOUBLE_EQ(cache.pick(rng)->capacity, 99.0);
-}
-
-TEST(HostCache, ForgetAndEmpty) {
-  HostCache cache;
-  EXPECT_TRUE(cache.empty());
-  Rng rng(1);
-  EXPECT_FALSE(cache.pick(rng).has_value());
-  cache.remember(make_node(5));
-  cache.forget(NodeId{5});
-  EXPECT_TRUE(cache.empty());
-}
-
 }  // namespace
 }  // namespace geogrid::services

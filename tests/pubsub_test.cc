@@ -98,7 +98,7 @@ TEST(SubscriptionIndex, CoveringMatchesBruteForce) {
     const Rect area{x, y, w, h};
     const SubKind kind = rng.chance(0.5) ? SubKind::kGeofence : SubKind::kRange;
     idx.subscribe(sub_msg(id, area), kind);
-    reference.push_back(SubRecord{id, kind, area, UserId{}});
+    reference.push_back(SubRecord{id, kind, area, UserId{}, ""});
   }
   idx.refresh();
   EXPECT_GT(idx.grid_dim(), 1u);  // population large enough to tune the grid
@@ -147,16 +147,18 @@ TEST(SubscriptionIndex, ResubscribeReplacesAndUnsubscribeRemoves) {
 }
 
 TEST(SubscriptionIndex, UnsubscribeSwapRemoveKeepsProbesCorrect) {
-  // Removing from the middle of the dense slot array relocates the last
-  // subscription; every index (id map, grid cells, friend lists) must be
-  // fixed up.  Probe after each removal against brute force.
+  // Removing from the middle of the dense record vector moves the last
+  // record into the hole.  The grid cells and friend lists name
+  // subscriptions by id, so only the id map is repointed.  Probe after
+  // each removal against brute force, and find every resident id.
   SubscriptionIndex idx(kPlane);
   Rng rng(11);
   std::vector<SubRecord> reference;
   for (std::uint64_t id = 1; id <= 64; ++id) {
     const Rect area{rng.uniform(0, 56), rng.uniform(0, 56), 6, 6};
     idx.subscribe(sub_msg(id, area));
-    reference.push_back(SubRecord{id, SubKind::kGeofence, area, UserId{}});
+    reference.push_back(
+        SubRecord{id, SubKind::kGeofence, area, UserId{}, ""});
   }
   idx.refresh();
   std::vector<std::uint64_t> order(64);
@@ -169,8 +171,12 @@ TEST(SubscriptionIndex, UnsubscribeSwapRemoveKeepsProbesCorrect) {
     std::vector<std::uint64_t> expected;
     for (const auto& s : reference) {
       if (s.area.covers(p)) expected.push_back(s.id);
+      const SubRecord* found = idx.find(s.id);
+      ASSERT_NE(found, nullptr);
+      EXPECT_EQ(found->area, s.area);
     }
     EXPECT_EQ(covering_ids(idx, p), expected);
+    ASSERT_TRUE(idx.validate()) << "after unsubscribe " << victim;
   }
   EXPECT_EQ(idx.size(), 0u);
   EXPECT_EQ(idx.rect_count(), 0u);
@@ -186,8 +192,8 @@ TEST(SubscriptionIndex, FriendSubscriptionsIndexByTrackedUser) {
   const auto* list = idx.friends_of(UserId{42});
   ASSERT_NE(list, nullptr);
   ASSERT_EQ(list->size(), 2u);
-  EXPECT_EQ((*list)[0].first, 3u);  // ascending sub-id order
-  EXPECT_EQ((*list)[1].first, 5u);
+  EXPECT_EQ((*list)[0], 3u);  // ascending sub-id order
+  EXPECT_EQ((*list)[1], 5u);
   EXPECT_EQ(idx.friends_of(UserId{1}), nullptr);
 
   EXPECT_TRUE(idx.unsubscribe(3));
@@ -197,9 +203,29 @@ TEST(SubscriptionIndex, FriendSubscriptionsIndexByTrackedUser) {
   EXPECT_EQ(idx.friends_of(UserId{42}), nullptr);  // empty list dropped
 }
 
-TEST(SubscriptionIndex, CoverMatchTriplesCarrySlotAndKind) {
-  // covering() emits (id, slot, kind) so the match loop never dereferences
-  // the slot array; the triple must agree with the slot array anyway.
+TEST(SubscriptionIndex, ResubscribeMovesAFriendIdBetweenLists) {
+  // A resubscribe replaces the resident subscription whatever its kind:
+  // the id leaves the old tracked user's list.
+  SubscriptionIndex idx(kPlane);
+  idx.subscribe_friend(sub_msg(5, Rect{}), UserId{42});
+  idx.subscribe_friend(sub_msg(5, Rect{}), UserId{7});
+  EXPECT_EQ(idx.friends_of(UserId{42}), nullptr);
+  ASSERT_NE(idx.friends_of(UserId{7}), nullptr);
+  EXPECT_EQ(*idx.friends_of(UserId{7}), (std::vector<std::uint64_t>{5}));
+  ASSERT_TRUE(idx.validate());
+
+  idx.subscribe(sub_msg(5, Rect{8, 8, 8, 8}), SubKind::kRange);
+  EXPECT_EQ(idx.friends_of(UserId{7}), nullptr);
+  EXPECT_EQ(covering_ids(idx, Point{12, 12}),
+            (std::vector<std::uint64_t>{5}));
+  EXPECT_EQ(idx.size(), 1u);
+  EXPECT_TRUE(idx.validate());
+}
+
+TEST(SubscriptionIndex, CoverMatchesCarryIdAndKind) {
+  // covering() emits (id, kind) straight from the cell's columns so the
+  // match loop never reads a record; the pair must agree with the record
+  // its id finds anyway.
   SubscriptionIndex idx(kPlane);
   idx.subscribe(sub_msg(4, Rect{8, 8, 8, 8}), SubKind::kGeofence);
   idx.subscribe(sub_msg(2, Rect{10, 10, 8, 8}), SubKind::kRange);
@@ -211,8 +237,9 @@ TEST(SubscriptionIndex, CoverMatchTriplesCarrySlotAndKind) {
   EXPECT_EQ(matches[1].id, 4u);
   EXPECT_EQ(matches[1].kind, SubKind::kGeofence);
   for (const CoverMatch& m : matches) {
-    EXPECT_EQ(idx.at(m.slot).id, m.id);
-    EXPECT_EQ(idx.at(m.slot).kind, m.kind);
+    const SubRecord* rec = idx.find(m.id);
+    ASSERT_NE(rec, nullptr);
+    EXPECT_EQ(rec->kind, m.kind);
   }
 }
 
@@ -234,7 +261,7 @@ TEST(SubscriptionIndex, SimdCoveringParityRandomized) {
       const SubKind kind =
           rng.chance(0.5) ? SubKind::kGeofence : SubKind::kRange;
       idx.subscribe(sub_msg(id, area), kind);
-      reference.push_back(SubRecord{id, kind, area, UserId{}});
+      reference.push_back(SubRecord{id, kind, area, UserId{}, ""});
     };
     for (std::size_t i = 0; i < population; ++i) {
       const double roll = rng.uniform();
@@ -297,9 +324,10 @@ TEST(SubscriptionIndex, SimdCoveringParityRandomized) {
 }
 
 TEST(SubscriptionIndex, SubscribeUnsubscribeResubscribeKeepsColumnsInSync) {
-  // The swap-remove dance must keep the hot SoA columns, the cold
-  // side-table and the friend lists exactly consistent through arbitrary
-  // churn — validate() audits every covered cell after each step.
+  // The swap-remove dance must keep the records, the id map, the SoA
+  // cell columns and the friend lists exactly consistent through
+  // arbitrary churn — validate() audits every covered cell after each
+  // step.
   SubscriptionIndex idx(kPlane);
   Rng rng(77);
   for (std::uint64_t id = 1; id <= 40; ++id) {
@@ -317,7 +345,7 @@ TEST(SubscriptionIndex, SubscribeUnsubscribeResubscribeKeepsColumnsInSync) {
   idx.refresh();
   ASSERT_TRUE(idx.validate());
 
-  // Unsubscribe half (hitting both ends of the slot array), then
+  // Unsubscribe half (hitting both ends of the record vector), then
   // resubscribe the same ids with new geometry and kind.
   for (std::uint64_t id = 1; id <= 40; id += 2) {
     ASSERT_TRUE(idx.unsubscribe(id));
@@ -338,10 +366,10 @@ TEST(SubscriptionIndex, SubscribeUnsubscribeResubscribeKeepsColumnsInSync) {
   EXPECT_EQ(idx.size(), 40u);
   EXPECT_EQ(covering_ids(idx, Point{2, 2}),
             (std::vector<std::uint64_t>{2}));
-  // The cold side-table moved with the hot row.
+  // The filter was replaced with the rest of the record.
   const SubRecord* rec = idx.find(2);
   ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(*idx.filter_of(2), "moved");
+  EXPECT_EQ(rec->filter, "moved");
 }
 
 TEST(SubscriptionIndex, FilterRectsCoveringPointMatchesScalar) {

@@ -1,5 +1,6 @@
 // Epoch-reclaimed snapshot read path: ShardedDirectory's retired-snapshot
-// bookkeeping, QueryEngine::run_pinned equivalence with the writer-side
+// bookkeeping, a pinned read (register_reader, an EpochDomain::Guard,
+// pinned_snapshot, QueryEngine::run_on) agreeing with the writer-side
 // run(), and concurrent pinned readers racing a publishing writer (the
 // deployment the sanitizer jobs exercise).
 #include <atomic>
@@ -46,6 +47,19 @@ std::vector<std::byte> result_bytes(std::span<const QueryResult> results) {
   net::Writer w;
   QueryEngine::serialize(w, results);
   return std::move(w).take();
+}
+
+/// Runs `batch` the way a thread other than the writer does: pinned
+/// through its own registered reader, against the latest snapshot.
+std::vector<QueryResult> read_pinned(const ShardedDirectory& dir,
+                                     common::EpochDomain::Reader& reader,
+                                     QueryEngine& engine,
+                                     std::span<const Query> batch) {
+  common::EpochDomain::Guard pin(reader);
+  const DirectorySnapshot* snapshot = dir.pinned_snapshot();
+  EXPECT_NE(snapshot, nullptr);
+  if (snapshot == nullptr) return {};
+  return engine.run_on(*snapshot, batch);
 }
 
 TEST(SnapshotReclaim, RetiredSnapshotsAreReclaimedWithoutReaders) {
@@ -115,25 +129,37 @@ TEST(SnapshotReclaim, RunPinnedMatchesWriterSideRun) {
 
   QueryEngine engine(dir, {.threads = 2});
   const auto via_run = engine.run(batch);        // publishes the snapshot
-  const auto via_pinned = engine.run_pinned(batch);
+  auto reader = dir.register_reader();
+  ASSERT_TRUE(reader.registered());
+  const auto via_pinned = read_pinned(dir, reader, engine, batch);
   EXPECT_EQ(result_bytes(via_run), result_bytes(via_pinned));
 }
 
-TEST(SnapshotReclaim, RunPinnedBeforeFirstPublishAnswersEmpty) {
+TEST(SnapshotReclaim, PinnedSnapshotIsNullBeforeFirstPublish) {
   QuadrantFixture fx;
   ShardedDirectory dir(fx.partition, {.shards = 2});
-  QueryEngine engine(dir, {.threads = 1});
-  std::vector<Query> batch{Query::locate(UserId{1}),
-                           Query::range(Rect{0.0, 0.0, 64.0, 64.0})};
-  const auto results = engine.run_pinned(batch);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_FALSE(results[0].found);
-  EXPECT_TRUE(results[1].records.empty());
+  auto reader = dir.register_reader();
+  ASSERT_TRUE(reader.registered());
+  common::EpochDomain::Guard pin(reader);
+  EXPECT_EQ(dir.pinned_snapshot(), nullptr);
+}
+
+TEST(SnapshotReclaim, EnginesClaimNoReaderSlot) {
+  // Reader slots are permanent, so an engine that claimed one would use
+  // the domain up: past kMaxReaders engines over one directory, the next
+  // reader would get no slot.
+  QuadrantFixture fx;
+  ShardedDirectory dir(fx.partition, {.shards = 1});
+  for (int i = 0; i < 100; ++i) {
+    QueryEngine engine(dir, {.threads = 1});
+  }
+  EXPECT_TRUE(dir.register_reader().registered());
 }
 
 TEST(SnapshotReclaim, ConcurrentPinnedReadersRacePublishingWriter) {
-  // The deployment shape: engines on their own threads acquiring
-  // snapshots through run_pinned while the writer ingests and publishes.
+  // The deployment shape: engines on their own threads, each with its own
+  // registered reader, acquiring pinned snapshots while the writer ingests
+  // and publishes.
   // Epoch reclamation must keep every acquired snapshot alive for the
   // duration of its batch — a lifetime bug is a crash or sanitizer
   // report here, and locate answers must always be internally coherent.
@@ -149,12 +175,13 @@ TEST(SnapshotReclaim, ConcurrentPinnedReadersRacePublishingWriter) {
   for (int i = 0; i < 2; ++i) {
     readers.emplace_back([&dir, &done] {
       QueryEngine engine(dir, {.threads = 1});
+      auto reader = dir.register_reader();
       std::vector<Query> batch;
       for (std::uint32_t u = 1; u <= 100; ++u) {
         batch.push_back(Query::locate(UserId{u}));
       }
       while (!done.load(std::memory_order_acquire)) {
-        const auto results = engine.run_pinned(batch);
+        const auto results = read_pinned(dir, reader, engine, batch);
         for (const QueryResult& r : results) {
           if (r.found) {
             // A located record read off a pinned snapshot is coherent:
