@@ -12,7 +12,11 @@ falls on both sides alike; <s> is the change tree's BENCHMARK.json
 result JSON) and the `served ... wire bytes N` count line, which every
 run prints, traced or not; nothing under servebench/ is touched.
 
-For each end-to-end metric of that BENCHMARK.json it prints
+Its table header names the host's CPU model and whether /proc/cpuinfo
+lists avx512f and avx512vl, the features that select the store filters'
+AVX-512 tier at run time (src/common/simd.h), so a table shows which
+tier it measured.  For each end-to-end metric of that BENCHMARK.json it
+prints
 each side's median and quartiles, the change/parent ratio of the medians,
 the number of pairs in which the change read better (in the metric's
 `better` direction), whether the gap between the medians exceeds the
@@ -72,6 +76,26 @@ def printed_figures(lines):
         except ValueError:
             pass
     return figures
+
+
+def host_cpu():
+    """The host's CPU model and whether /proc/cpuinfo lists avx512f and
+    avx512vl, as one line."""
+    model, flags = "unknown", set()
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                key, _, value = line.partition(":")
+                key = key.strip()
+                if key == "model name" and model == "unknown":
+                    model = value.strip()
+                elif key == "flags" and not flags:
+                    flags = set(value.split())
+    except OSError:
+        pass
+    return f"host CPU {model}; " + ", ".join(
+        f"{f} {'yes' if f in flags else 'no'}"
+        for f in ("avx512f", "avx512vl"))
 
 
 def run_once(tree, workload, seed, seconds, trace=False):
@@ -221,6 +245,7 @@ def main():
 
     print(f"\n{a.workload} seed {a.seed}, {a.pairs} pairs, "
           f"--seconds {seconds} --trace {1 if a.trace else 0}")
+    print(host_cpu())
     if a.trace:
         print_traced(values, names)
     else:

@@ -243,10 +243,8 @@ void LocationStore::range_into(const Rect& rect,
     }
     return;
   }
-  // Bucket path.  About half the residents of the visited cells are hits,
-  // so a branch on the cover test would mispredict often: each slot is
-  // written to the candidate buffer unconditionally and the write cursor
-  // advances by the predicate, then the hits are gathered.
+  // Bucket path: each bucket's slots go through the slot filter, whose
+  // portable tier tests without a data-dependent branch.
   std::uint32_t slots[kChunk];
   for (std::int64_t cx = cx0; cx <= cx1; ++cx) {
     for (std::int64_t cy = cy0; cy <= cy1; ++cy) {
@@ -255,16 +253,12 @@ void LocationStore::range_into(const Rect& rect,
       if (bucket == nullptr) continue;
       for (std::size_t base = 0; base < bucket->size(); base += kChunk) {
         const std::size_t len = std::min(kChunk, bucket->size() - base);
-        std::size_t n = 0;
-        for (std::size_t j = 0; j < len; ++j) {
-          const std::uint32_t slot = (*bucket)[base + j];
-          const double px = xs_[slot];
-          const double py = ys_[slot];
-          slots[n] = slot;
-          n += static_cast<std::size_t>((x_lo < px) & (px <= x_hi) &
-                                        (y_lo < py) & (py <= y_hi));
+        const std::size_t found = common::filter_slots_in_rect(
+            xs_.data(), ys_.data(), bucket->data() + base, len, x_lo, x_hi,
+            y_lo, y_hi, slots);
+        for (std::size_t j = 0; j < found; ++j) {
+          out.push_back(record_at(slots[j]));
         }
-        for (std::size_t j = 0; j < n; ++j) out.push_back(record_at(slots[j]));
       }
     }
   }

@@ -14,9 +14,9 @@
 // nothing pointer-chases through node allocations — this is what keeps
 // updates/sec flat as the population grows into the millions.  The x/y
 // split (rather than a packed Point column) is what lets the wide-rect
-// range path SIMD-scan the whole store: four vector compares and a
-// movemask per lane group over linearly streaming doubles
-// (common/simd.h), instead of a per-point branch over interleaved pairs.  The spatial side is a sparse
+// range path SIMD-scan the whole store: four vector compares per lane
+// group over linearly streaming doubles (common/simd.h), instead of a
+// per-point branch over interleaved pairs.  The spatial side is a sparse
 // uniform grid of square cells (flat map from packed cell coordinates to a
 // bucket of record slots); cells materialize only where users are, so one
 // store works unchanged whether its region is the whole plane or a

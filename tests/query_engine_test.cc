@@ -276,6 +276,98 @@ TEST(QueryEngine, RangeOrderHoldsInEveryIdByte) {
   }
 }
 
+TEST(QueryEngine, RangeOrderHoldsAtEveryDigitWidth) {
+  // The radix order sizes its digits to each answer's id span (highest id
+  // less lowest): one digit up to 11 bits, two up to 22, three beyond.
+  // Each cluster answers one span just below or just above a step, from a
+  // lowest id near 0, far from it, or ending at 0xfffffffe; the rest
+  // answer 2, 1 and 0 hits.  A digit one bit too narrow leaves the span's
+  // top bit unsorted and misorders the cluster that has it.
+  struct Cluster {
+    Rect area;
+    std::uint32_t lowest;
+    std::uint32_t span;
+    std::size_t count;  ///< ids: lowest, lowest + span and count - 2 between
+  };
+  constexpr std::uint32_t kTop = 0xfffffffe;
+  const std::vector<Cluster> clusters = {
+      {Rect{2, 2, 4, 4}, 1, (1u << 11) - 1, 300},
+      {Rect{8, 2, 4, 4}, 5000, 1u << 11, 300},
+      {Rect{14, 2, 4, 4}, 0x10000000, (1u << 22) - 1, 300},
+      {Rect{30, 30, 4, 4}, 0x20000000, 1u << 22, 300},
+      {Rect{20, 40, 4, 4}, kTop - ((1u << 22) - 1), (1u << 22) - 1, 300},
+      {Rect{26, 40, 4, 4}, 0xc0000000, 1u << 11, 300},
+      {Rect{30, 2, 4, 4}, 0x90000000, (1u << 11) - 1, 300},
+      {Rect{40, 40, 4, 4}, 0x7fffffff, 1, 2},
+      {Rect{46, 40, 4, 4}, 0x40000000, 0, 1}};
+  Rng rng(1213);
+  std::vector<LocationRecord> population;
+  for (const Cluster& c : clusters) {
+    std::vector<std::uint32_t> ids = {c.lowest, c.lowest + c.span};
+    if (c.span == 0) ids.pop_back();
+    while (ids.size() < c.count) {
+      const auto id =
+          static_cast<std::uint32_t>(c.lowest + rng.uniform_index(c.span));
+      if (std::find(ids.begin(), ids.end(), id) == ids.end()) {
+        ids.push_back(id);
+      }
+    }
+    for (const std::uint32_t id : ids) {
+      const Point p{rng.uniform(c.area.x + 0.01, c.area.right() - 0.01),
+                    rng.uniform(c.area.y + 0.01, c.area.top() - 0.01)};
+      population.push_back({UserId{id}, p, 1, 0.0});
+    }
+  }
+  rng.shuffle(population);
+
+  // Each cluster, four together (lowest 1, highest kTop: a 32-bit span),
+  // everyone, and an empty rect.
+  std::vector<Query> queries;
+  for (const Cluster& c : clusters) queries.push_back(Query::range(c.area));
+  queries.push_back(Query::range(Rect{2, 2, 22, 42}));
+  queries.push_back(Query::range(Rect{0, 0, 64, 64}));
+  queries.push_back(Query::range(Rect{56, 56, 4, 4}));
+  std::vector<std::vector<LocationRecord>> expect;
+  for (const Query& q : queries) {
+    std::vector<LocationRecord> hits;
+    for (const LocationRecord& rec : population) {
+      if (q.rect.covers(rec.position)) hits.push_back(rec);
+    }
+    std::sort(hits.begin(), hits.end(),
+              [](const LocationRecord& a, const LocationRecord& b) {
+                return a.user < b.user;
+              });
+    expect.push_back(std::move(hits));
+  }
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    const Cluster& c = clusters[i];
+    ASSERT_EQ(expect[i].size(), c.count) << "cluster " << i;
+    EXPECT_EQ(expect[i].front().user.value, c.lowest) << "cluster " << i;
+    EXPECT_EQ(expect[i].back().user.value, c.lowest + c.span)
+        << "cluster " << i;
+  }
+  const std::vector<LocationRecord>& pair = expect[clusters.size()];
+  ASSERT_FALSE(pair.empty());
+  EXPECT_EQ(pair.front().user.value, 1u);
+  EXPECT_EQ(pair.back().user.value, kTop);
+  EXPECT_EQ(expect[clusters.size() + 1].size(), population.size());
+  EXPECT_TRUE(expect.back().empty());
+
+  QuadrantFixture fx;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    ShardedDirectory dir(fx.partition, {.shards = shards});
+    dir.apply_updates(population);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      QueryEngine engine(dir, {.threads = threads});
+      const auto results = engine.run(queries);
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(results[i].records, expect[i])
+            << "K=" << shards << " T=" << threads << " query " << i;
+      }
+    }
+  }
+}
+
 TEST(QueryEngine, NearestMatchesBruteForceOnEdgesTiesAndFarCenters) {
   // The pruned kNN — ring floors from p's offset in its cell, cell and
   // squared-distance rejects, the bound carried between stores, the
@@ -515,6 +607,7 @@ TEST(QueryEngine, ConcurrentIngestNeverTearsASnapshot) {
   ShardedDirectory dir(fx.partition, {.shards = 4});
   constexpr std::size_t kUsers = 200;
   constexpr std::uint64_t kEpochs = 120;
+  constexpr std::uint64_t kMaxEpochs = 20000;
 
   std::vector<Query> locates;
   locates.reserve(kUsers);
@@ -570,8 +663,14 @@ TEST(QueryEngine, ConcurrentIngestNeverTearsASnapshot) {
     }
   });
 
-  for (std::uint64_t epoch = 2; epoch <= kEpochs; ++epoch) {
-    fill_batch(epoch);
+  // Past kEpochs, keep going (bounded) until a write has recycled a body
+  // with the reader still running: a reader preempted while pinned holds
+  // back every snapshot retired meanwhile, so on a loaded host the first
+  // kEpochs writes can all clone.
+  std::uint64_t last = 1;
+  while (last < kEpochs ||
+         (dir.counters().snapshot_slices_recycled == 0 && last < kMaxEpochs)) {
+    fill_batch(++last);
     dir.apply_updates(batch);
     dir.publish_snapshot();
   }
@@ -581,7 +680,8 @@ TEST(QueryEngine, ConcurrentIngestNeverTearsASnapshot) {
   EXPECT_EQ(violations.load(), 0u);
   EXPECT_GT(snapshots_read.load(), 0u);
   EXPECT_GE(distinct_epochs.load(), 1u);
-  EXPECT_EQ(dir.publish_snapshot()->epoch(), kEpochs);
+  EXPECT_GE(last, kEpochs);
+  EXPECT_EQ(dir.publish_snapshot()->epoch(), last);
   // The reader raced real body reuse, recycled and cloned.
   EXPECT_GT(dir.counters().snapshot_slices_recycled, 0u);
   EXPECT_GT(dir.counters().snapshot_slices_cloned, 0u);
